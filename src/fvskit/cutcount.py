@@ -32,31 +32,17 @@ import dataclasses
 import itertools
 import math
 import random
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple, Union)
 
 import numpy as np
 
-from .multigraph import MultiGraph, connected_components, induced, is_forest, minus
+from .multigraph import MultiGraph, induced, is_forest, minus, rooted_forest
 from .separators import Separation, ThreeWaySeparation
 
 F_LBL, L_LBL, R_LBL = 0, 1, 2
 _LABELS = (F_LBL, L_LBL, R_LBL)
-
-
-@dataclasses.dataclass
-class DeciderStats:
-    calls: int = 0
-    draws: int = 0
-    accepts: int = 0
-
-    def reset(self) -> None:
-        self.calls = 0
-        self.draws = 0
-        self.accepts = 0
-
-
-#: campaign-wide tally; tests read and reset it
-STATS = DeciderStats()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,34 +154,14 @@ class _CompStructure:
 
     __slots__ = ("postorder", "children", "iface", "trace_nbrs")
 
-    def __init__(self, sub: MultiGraph, comp: List[int], trace_nbrs: Dict[int, List[Tuple[int, int]]]):
-        root = comp[0]
-        parent: Dict[int, Optional[int]] = {root: None}
-        children: Dict[int, List[int]] = {v: [] for v in comp}
-        order: List[int] = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for u in sorted(sub.neighbors(v), reverse=True):
-                if u == v:
-                    raise ValueError("loop inside the forest part; f is not an FVS")
-                if u not in parent:
-                    if sub.multiplicity(v, u) != 1:
-                        raise ValueError("parallel edge inside the forest part; f is not an FVS")
-                    parent[u] = v
-                    children[v].append(u)
-                    stack.append(u)
-        for v in comp:
-            children[v].sort()
-        self.postorder = order[::-1]  # children strictly before parents
-        self.children = children
-        self.trace_nbrs = {v: trace_nbrs.get(v, []) for v in comp}
-        seen: Set[int] = set()
-        for v in comp:
-            for t, _ in self.trace_nbrs[v]:
-                seen.add(t)
-        self.iface = tuple(sorted(seen))
+    def __init__(self, preorder: List[int], parent: Dict[int, Optional[int]],
+                 trace_nbrs: Dict[int, List[Tuple[int, int]]]):
+        self.postorder = preorder[::-1]  # children strictly before parents
+        self.children: Dict[int, List[int]] = {v: [] for v in preorder}
+        for v in preorder[1:]:  # preorder[0] is the root
+            self.children[parent[v]].append(v)
+        self.trace_nbrs = {v: trace_nbrs.get(v, []) for v in preorder}
+        self.iface = tuple(sorted({t for v in preorder for t, _ in self.trace_nbrs[v]}))
 
 
 def _component_table(
@@ -290,13 +256,66 @@ def _build_forest_side(
 ) -> List[_CompStructure]:
     """Component structures of g[forest_verts] plus each vertex's trace
     neighbor list (the anchors)."""
-    sub = induced(g, forest_verts)
+    order, parent = rooted_forest(induced(g, forest_verts))
     trace_nbrs: Dict[int, List[Tuple[int, int]]] = {}
     for v in forest_verts:
         lst = [(t, g.multiplicity(v, t)) for t in g.neighbors(v) if t in trace]
         if lst:
             trace_nbrs[v] = lst
-    return [_CompStructure(sub, comp, trace_nbrs) for comp in connected_components(sub)]
+    comps: List[List[int]] = []
+    for v in order:
+        if parent[v] is None:
+            comps.append([])
+        comps[-1].append(v)
+    return [_CompStructure(comp, parent, trace_nbrs) for comp in comps]
+
+
+class _Side(NamedTuple):
+    """One side of a separation: its f-vertices, enumerated label by label;
+    the vertices and edges its trace term settles; and its forest components,
+    anchored on the trace."""
+
+    f_side: List[int]
+    term_verts: List[int]
+    owned: List[Tuple[int, int, int]]
+    comps: List[_CompStructure]
+
+
+def _side_table(
+    idx: int,
+    side: _Side,
+    labels: Dict[int, int],
+    wts: IsolationWeights,
+    degs: Dict[int, int],
+    packer: _Packer,
+    mask: int,
+    forced: FrozenSet[int],
+    comp_memo: Dict[Tuple, Table],
+) -> Table:
+    """Sum over the labellings of the side's f-vertices, with every other
+    trace label already set: each labelling's trace term convolved with the
+    anchored tables of the side's components.  A component table depends only
+    on its interface labels, so ``comp_memo`` keeps it under (idx, component,
+    those labels) for the whole draw."""
+    out: Table = {}
+    for assign in _assignments(side.f_side, forced):
+        for v, lab in zip(side.f_side, assign):
+            labels[v] = lab
+        term = _trace_term(side.term_verts, side.owned, labels, wts, degs, packer)
+        if term is None:
+            continue
+        acc: Table = {term: 1}
+        for ci, comp in enumerate(side.comps):
+            ck = (idx, ci, tuple(labels[t] for t in comp.iface))
+            tbl = comp_memo.get(ck)
+            if tbl is None:
+                tbl = _component_table(comp, labels, wts, degs, packer, mask, forced)
+                comp_memo[ck] = tbl
+            acc = _conv(acc, tbl, packer, mask)
+            if not acc:
+                break
+        _union_into(out, acc, mask)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -344,16 +363,7 @@ def forest_dp_table(
         acc = _conv(acc, tbl, packer, mask)
         if not acc:
             return {}
-    out: Dict[Tuple[int, int, int], int] = {}
-    for p, cnt in acc.items():
-        i, d, c, e = packer.unpack(p)
-        key = (n * n * i + d, c, e)
-        nv = (out.get(key, 0) + cnt) & mask
-        if nv:
-            out[key] = nv
-        elif key in out:
-            del out[key]
-    return out
+    return _table_to_keys(acc, packer, n)
 
 
 def forest_dp(
@@ -375,13 +385,16 @@ def forest_dp(
 
 
 class _TwoWayLayout:
-    """Edge/vertex ownership for one (graph, f, separation) triple."""
+    """Edge/vertex ownership for one (graph, f, separation) triple.
 
-    __slots__ = ("s_order", "s_edges", "sides", "degs", "n", "m")
+    ``sides`` holds side A then side B; ``rels[i]`` lists the separator
+    vertices whose labels side i's table depends on.
+    """
+
+    __slots__ = ("s_order", "s_edges", "sides", "rels", "degs", "n")
 
     def __init__(self, g: MultiGraph, fset: FrozenSet[int], sep: Separation):
         self.n = g.n
-        self.m = g.m
         self.degs = {v: g.degree(v) for v in g.vertices()}
         self.s_order = sorted(sep.s)
         zone: Dict[int, int] = {}
@@ -392,15 +405,15 @@ class _TwoWayLayout:
         for v in sep.b:
             zone[v] = 2
         self.s_edges: List[Tuple[int, int, int]] = []
-        side_edges: Tuple[List, List] = ([], [])
         for u, v, mult in g.edges():
             zu, zv = zone[u], zone[v]
             if zu == 0 and zv == 0:
                 self.s_edges.append((u, v, mult))
             elif {zu, zv} == {1, 2}:
                 raise ValueError(f"edge {u}-{v} crosses the separation")
-        self.sides = []
-        for idx, side_set in enumerate((sep.a, sep.b)):
+        self.sides: List[_Side] = []
+        self.rels: List[List[int]] = []
+        for side_set in (sep.a, sep.b):
             f_side = sorted(side_set & fset)
             forest = sorted(side_set - fset)
             trace = set(f_side) | set(self.s_order)
@@ -420,20 +433,18 @@ class _TwoWayLayout:
                     rel.add(u)
                 if zone[v] == 0:
                     rel.add(v)
-            self.sides.append((f_side, comps, owned, sorted(rel)))
+            self.sides.append(_Side(f_side, f_side, owned, comps))
+            self.rels.append(sorted(rel))
 
 
 def count_tables_two_way(
-    g: MultiGraph,
-    f: Iterable[int],
-    sep: Separation,
+    layout: _TwoWayLayout,
     wts: IsolationWeights,
     *,
     c_cap: int,
     d_cap: int,
     e_cap: int,
     forced: FrozenSet[int] = frozenset(),
-    layout: Optional[_TwoWayLayout] = None,
 ) -> Tuple[Table, _Packer]:
     """One full per-key table for a fixed weight draw.
 
@@ -441,8 +452,7 @@ def count_tables_two_way(
     side's f-vertices and extend by the anchored tables of the side's
     forest components; combine the two side tables under the separator term.
     """
-    fset = frozenset(f)
-    lay = layout if layout is not None else _TwoWayLayout(g, fset, sep)
+    lay = layout
     n = lay.n
     mask = (1 << (n + 1)) - 1
     packer = _Packer(i_cap=2 * n * min(c_cap, n) if n else 0,
@@ -453,31 +463,13 @@ def count_tables_two_way(
     side_memo: Tuple[Dict, Dict] = ({}, {})
 
     def side_table(idx: int) -> Table:
-        f_side, comps, owned, rel = lay.sides[idx]
-        memo_key = tuple(labels[t] for t in rel)
+        memo_key = tuple(labels[t] for t in lay.rels[idx])
         cached = side_memo[idx].get(memo_key)
-        if cached is not None:
-            return cached
-        out: Table = {}
-        for assign in _assignments(f_side, forced):
-            for v, lab in zip(f_side, assign):
-                labels[v] = lab
-            term = _trace_term(f_side, owned, labels, wts, degs, packer)
-            if term is None:
-                continue
-            acc: Table = {term: 1}
-            for ci, comp in enumerate(comps):
-                ck = (idx, ci, tuple(labels[t] for t in comp.iface))
-                tbl = comp_memo.get(ck)
-                if tbl is None:
-                    tbl = _component_table(comp, labels, wts, degs, packer, mask, forced)
-                    comp_memo[ck] = tbl
-                acc = _conv(acc, tbl, packer, mask)
-                if not acc:
-                    break
-            _union_into(out, acc, mask)
-        side_memo[idx][memo_key] = out
-        return out
+        if cached is None:
+            cached = _side_table(idx, lay.sides[idx], labels, wts, degs, packer, mask,
+                                 forced, comp_memo)
+            side_memo[idx][memo_key] = cached
+        return cached
 
     out: Table = {}
     ok = packer.ok
@@ -495,115 +487,15 @@ def count_tables_two_way(
             continue
         for pa, ca in ta.items():
             base = term_s + pa
-            cab = ca
             for pb, cb in tb.items():
                 key = base + pb
                 if ok(key):
-                    nv = (out.get(key, 0) + cab * cb) & mask
+                    nv = (out.get(key, 0) + ca * cb) & mask
                     if nv:
                         out[key] = nv
                     elif key in out:
                         del out[key]
     return out, packer
-
-
-def _scan_accept(
-    table: Table,
-    packer: _Packer,
-    n: int,
-    k: int,
-    d_limit: int,
-) -> Optional[Tuple[int, int, int, int]]:
-    for p in sorted(table):
-        i, d, c, e = packer.unpack(p)
-        if c > k or d > d_limit:
-            continue
-        exp = n - c - e + 1
-        if exp <= 0:
-            continue
-        if table[p] & ((1 << exp) - 1):
-            return (n * n * i + d, c, e, d)
-    return None
-
-
-def _table_to_keys(table: Table, packer: _Packer, n: int, mask: int) -> Dict[Tuple[int, int, int], int]:
-    out: Dict[Tuple[int, int, int], int] = {}
-    for p, cnt in table.items():
-        i, d, c, e = packer.unpack(p)
-        key = (n * n * i + d, c, e)
-        nv = (out.get(key, 0) + cnt) & mask
-        if nv:
-            out[key] = nv
-        elif key in out:
-            del out[key]
-    return out
-
-
-def count_simple_separation(
-    g: MultiGraph,
-    f: Iterable[int],
-    k: int,
-    dbar: float,
-    sep: Separation,
-    rng: Optional[random.Random] = None,
-    *,
-    draws: Optional[int] = None,
-    forced: Iterable[int] = (),
-    weights: Optional[IsolationWeights] = None,
-    full_tables: bool = False,
-    stats: DeciderStats = STATS,
-):
-    """Two-way decider.
-
-    Decision mode returns a DeciderOutcome after up to ``draws`` independent
-    weight draws (default 2n).  With ``full_tables`` (requires ``weights``)
-    it instead returns uncapped per-key totals for that single draw, the
-    form the brute-force tally can be compared against.
-    """
-    fset = frozenset(f)
-    forced_set = frozenset(forced)
-    n = g.n
-    if n > 62:
-        raise ValueError("counting deciders support n <= 62")
-    mask = (1 << (n + 1)) - 1
-    layout = _TwoWayLayout(g, fset, sep)
-    if full_tables:
-        if weights is None:
-            raise ValueError("full_tables mode needs explicit weights")
-        two_m = sum(layout.degs.values())
-        table, packer = count_tables_two_way(
-            g, fset, sep, weights,
-            c_cap=n, d_cap=max(1, two_m), e_cap=max(1, g.m),
-            forced=forced_set, layout=layout,
-        )
-        return _table_to_keys(table, packer, n, mask)
-
-    if weights is None and rng is None:
-        raise ValueError("decision mode needs an rng or explicit weights")
-    stats.calls += 1
-    d_limit = math.floor(dbar * k)
-    two_m = sum(layout.degs.values())
-    c_cap = min(k, n)
-    d_cap = min(d_limit, two_m)
-    e_cap = min(n, g.m) if g.m else 0
-    total_draws = draws if draws is not None else max(1, 2 * n)
-    used = 0
-    for t in range(total_draws):
-        wts = weights if weights is not None else draw_weights(g, rng)
-        table, packer = count_tables_two_way(
-            g, fset, sep, wts,
-            c_cap=c_cap, d_cap=max(d_cap, 0), e_cap=e_cap,
-            forced=forced_set, layout=layout,
-        )
-        stats.draws += 1
-        used = t + 1
-        key = _scan_accept(table, packer, n, k, d_limit)
-        if key is not None:
-            stats.accepts += 1
-            return DeciderOutcome(True, key, used)
-        if weights is not None:
-            break  # fixed weights: further draws are identical
-    return DeciderOutcome(False, None, used)
 
 
 # ----------------------------------------------------------------------
@@ -652,10 +544,11 @@ class _ThreeWayLayout:
     vertex terms and internal edges of one pairwise class and its edges to
     the global class (S_12 -> side 1, S_23 -> side 2, S_13 -> side 3) and
     the cross-pair edges that share its index.  The global class S_123
-    owns itself and its internal edges.
+    owns itself and its internal edges.  ``side_pairs[i]`` names the two
+    pairwise classes adjacent to side i.
     """
 
-    __slots__ = ("s123", "s123_edges", "pair_orders", "sides", "degs", "n")
+    __slots__ = ("s123", "s123_edges", "pair_orders", "sides", "side_pairs", "degs", "n")
 
     def __init__(self, g: MultiGraph, fset: FrozenSet[int], sep: ThreeWaySeparation):
         self.n = g.n
@@ -700,35 +593,33 @@ class _ThreeWayLayout:
                 edges_by_owner[cross_owner[frozenset((zu, zv))]].append((u, v, mult))
         self.s123_edges = edges_by_owner["g"]
         owned_pair = {"1": "12", "2": "23", "3": "13"}
-        self.sides = []
-        for i, name in enumerate(("1", "2", "3")):
+        self.sides: List[_Side] = []
+        self.side_pairs: List[Tuple[str, str]] = []
+        for name in ("1", "2", "3"):
             own = cls[name]
             f_side = sorted(own & fset)
             forest = own - fset
-            pairs = [p for p in ("12", "13", "23") if name in p]
-            trace = set(f_side) | set(self.s123)
-            for p in pairs:
-                trace |= cls[p]
+            pa, pb = [p for p in ("12", "13", "23") if name in p]
+            trace = set(f_side) | set(self.s123) | cls[pa] | cls[pb]
             comps = _build_forest_side(g, sorted(forest), trace)
             # edges with a forest-part endpoint are settled inside the
             # anchored tables, not in the side's trace term
             owned = [e for e in edges_by_owner[name]
                      if e[0] not in forest and e[1] not in forest]
-            extra_verts = sorted(cls[owned_pair[name]])
-            self.sides.append((f_side, comps, owned, extra_verts, pairs))
+            # the vertex terms of the side's own pairwise class ride along
+            term_verts = f_side + sorted(cls[owned_pair[name]])
+            self.sides.append(_Side(f_side, term_verts, owned, comps))
+            self.side_pairs.append((pa, pb))
 
 
 def count_tables_three_way(
-    g: MultiGraph,
-    f: Iterable[int],
-    sep: ThreeWaySeparation,
+    layout: _ThreeWayLayout,
     wts: IsolationWeights,
     *,
     c_cap: int,
     d_cap: int,
     e_cap: int,
     forced: FrozenSet[int] = frozenset(),
-    layout: Optional[_ThreeWayLayout] = None,
 ) -> Tuple[Table, _Packer]:
     """Per-key table via the tripartite contraction.
 
@@ -738,20 +629,15 @@ def count_tables_three_way(
     over the three pairwise classes into triangle-weighted sums, evaluated
     batched over all key splits in one einsum.
     """
-    fset = frozenset(f)
-    lay = layout if layout is not None else _ThreeWayLayout(g, fset, sep)
+    lay = layout
     n = lay.n
     mask = (1 << (n + 1)) - 1
     packer = _Packer(i_cap=2 * n * min(c_cap, n) if n else 0,
                      d_cap=d_cap, c_cap=c_cap, e_cap=e_cap)
     degs = lay.degs
     labels: Dict[int, int] = {}
-
-    pair_assign = {
-        name: list(_assignments(lay.pair_orders[name], forced))
-        for name in ("12", "13", "23")
-    }
-    pair_dim = {name: len(pair_assign[name]) for name in pair_assign}
+    pair_assign = {name: list(_assignments(order, forced))
+                   for name, order in lay.pair_orders.items()}
     comp_memo: Dict[Tuple, Table] = {}
 
     out: Table = {}
@@ -762,11 +648,9 @@ def count_tables_three_way(
         if term_g is None:
             continue
 
-        side_maps: List[Dict[Tuple[int, int], Table]] = []
-        feasible = True
-        for i in range(3):
-            f_side, comps, owned, extra_verts, pairs = lay.sides[i]
-            pa, pb = pairs
+        # per side, its tables stacked into a (key, pair, pair) array
+        stacks: List[Tuple[List[int], np.ndarray]] = []
+        for i, (side, (pa, pb)) in enumerate(zip(lay.sides, lay.side_pairs)):
             tables: Dict[Tuple[int, int], Table] = {}
             for ia, assign_a in enumerate(pair_assign[pa]):
                 for v, lab in zip(lay.pair_orders[pa], assign_a):
@@ -774,69 +658,155 @@ def count_tables_three_way(
                 for ib, assign_b in enumerate(pair_assign[pb]):
                     for v, lab in zip(lay.pair_orders[pb], assign_b):
                         labels[v] = lab
-                    side_tbl: Table = {}
-                    for assign_f in _assignments(f_side, forced):
-                        for v, lab in zip(f_side, assign_f):
-                            labels[v] = lab
-                        term = _trace_term(
-                            list(f_side) + extra_verts, owned, labels, wts, degs, packer
-                        )
-                        if term is None:
-                            continue
-                        acc: Table = {term: 1}
-                        for ci, comp in enumerate(comps):
-                            ck = (i, ci, tuple(labels[t] for t in comp.iface))
-                            tbl = comp_memo.get(ck)
-                            if tbl is None:
-                                tbl = _component_table(
-                                    comp, labels, wts, degs, packer, mask, forced
-                                )
-                                comp_memo[ck] = tbl
-                            acc = _conv(acc, tbl, packer, mask)
-                            if not acc:
-                                break
-                        _union_into(side_tbl, acc, mask)
+                    side_tbl = _side_table(i, side, labels, wts, degs, packer, mask,
+                                           forced, comp_memo)
                     if side_tbl:
                         tables[(ia, ib)] = side_tbl
             if not tables:
-                feasible = False
                 break
-            side_maps.append(tables)
-        if not feasible:
+            keys = sorted({key for t in tables.values() for key in t})
+            index = {key: j for j, key in enumerate(keys)}
+            stack = np.zeros((len(keys), len(pair_assign[pa]), len(pair_assign[pb])),
+                             dtype=np.int64)
+            for (ia, ib), t in tables.items():
+                for key, cnt in t.items():
+                    stack[index[key], ia, ib] = cnt
+            stacks.append((keys, stack))
+        if len(stacks) < 3:
             continue
 
-        # vertex terms of each pairwise class belong to exactly one side:
-        # S_12 to side 1, S_23 to side 2, S_13 to side 3.  They were included
-        # above through ``extra_verts`` in that side's trace term.
-
-        # stack per-side tables into (key, pair, pair) arrays
-        keysets = [sorted({k for t in m.values() for k in t}) for m in side_maps]
-        if any(not ks for ks in keysets):
-            continue
-        kindex = [{k: j for j, k in enumerate(ks)} for ks in keysets]
-        a1 = np.zeros((len(keysets[0]), pair_dim["12"], pair_dim["13"]), dtype=np.int64)
-        a2 = np.zeros((len(keysets[1]), pair_dim["12"], pair_dim["23"]), dtype=np.int64)
-        a3 = np.zeros((len(keysets[2]), pair_dim["13"], pair_dim["23"]), dtype=np.int64)
-        for (ia, ib), t in side_maps[0].items():
-            for k, cnt in t.items():
-                a1[kindex[0][k], ia, ib] = cnt
-        for (ia, ib), t in side_maps[1].items():
-            for k, cnt in t.items():
-                a2[kindex[1][k], ia, ib] = cnt
-        for (ia, ib), t in side_maps[2].items():
-            for k, cnt in t.items():
-                a3[kindex[2][k], ia, ib] = cnt
         # batched triangle-weighted sums: one (x, y, z) contraction per key split
+        (keys1, a1), (keys2, a2), (keys3, a3) = stacks
         tri = np.einsum("axy,bxz,cyz->abc", a1, a2, a3, optimize=True)
-        for ak, bk, ck_ in zip(*np.nonzero(tri)):
-            key = term_g + keysets[0][ak] + keysets[1][bk] + keysets[2][ck_]
+        for ak, bk, ck in zip(*np.nonzero(tri)):
+            key = term_g + keys1[ak] + keys2[bk] + keys3[ck]
             if packer.ok(key):
-                nv = (out.get(key, 0) + int(tri[ak, bk, ck_])) & mask
+                nv = (out.get(key, 0) + int(tri[ak, bk, ck])) & mask
                 if nv:
                     out[key] = nv
                 elif key in out:
                     del out[key]
     return out, packer
+
+
+# ----------------------------------------------------------------------
+# the deciders
+
+
+def _scan_accept(
+    table: Table,
+    packer: _Packer,
+    n: int,
+    k: int,
+    d_limit: int,
+) -> Optional[Tuple[int, int, int, int]]:
+    for p in sorted(table):
+        i, d, c, e = packer.unpack(p)
+        if c > k or d > d_limit:
+            continue
+        exp = n - c - e + 1
+        if exp <= 0:
+            continue
+        if table[p] & ((1 << exp) - 1):
+            return (n * n * i + d, c, e, d)
+    return None
+
+
+def _table_to_keys(table: Table, packer: _Packer, n: int) -> Dict[Tuple[int, int, int], int]:
+    """Packed table to (W, s, m') totals modulo 2^(n+1)."""
+    mask = (1 << (n + 1)) - 1
+    out: Dict[Tuple[int, int, int], int] = {}
+    for p, cnt in table.items():
+        i, d, c, e = packer.unpack(p)
+        key = (n * n * i + d, c, e)
+        nv = (out.get(key, 0) + cnt) & mask
+        if nv:
+            out[key] = nv
+        elif key in out:
+            del out[key]
+    return out
+
+
+def _decide(
+    tables_name: str,
+    layout_cls: type,
+    g: MultiGraph,
+    f: Iterable[int],
+    k: int,
+    dbar: float,
+    sep: Union[Separation, ThreeWaySeparation],
+    rng: Optional[random.Random],
+    *,
+    draws: Optional[int],
+    forced: Iterable[int],
+    weights: Optional[IsolationWeights],
+    full_tables: bool,
+    stats: Optional[Counter],
+):
+    """The decision procedure both deciders share: guards, caps, the draw loop,
+    the counters and the accept scan around one table builder."""
+    n = g.n
+    if n > 62:
+        raise ValueError("counting deciders support n <= 62")
+    layout = layout_cls(g, frozenset(f), sep)
+    # looked up at call time, so a wrapper put on the module attribute sees
+    # every table built
+    tables = globals()[tables_name]
+    forced_set = frozenset(forced)
+    two_m = sum(layout.degs.values())
+    if full_tables:
+        if weights is None:
+            raise ValueError("full_tables mode needs explicit weights")
+        table, packer = tables(layout, weights, c_cap=n, d_cap=max(1, two_m),
+                               e_cap=max(1, g.m), forced=forced_set)
+        return _table_to_keys(table, packer, n)
+
+    if weights is None and rng is None:
+        raise ValueError("decision mode needs an rng or explicit weights")
+    stats = stats if stats is not None else Counter()
+    stats["decider_calls"] += 1
+    d_limit = math.floor(dbar * k)
+    caps = {"c_cap": min(k, n), "d_cap": max(min(d_limit, two_m), 0), "e_cap": min(n, g.m)}
+    total_draws = draws if draws is not None else max(1, 2 * n)
+    used, key = 0, None
+    while used < total_draws and key is None:
+        wts = weights if weights is not None else draw_weights(g, rng)
+        table, packer = tables(layout, wts, forced=forced_set, **caps)
+        used += 1
+        key = _scan_accept(table, packer, n, k, d_limit)
+        if weights is not None:
+            break  # fixed weights: further draws are identical
+    stats["decider_draws"] += used
+    stats["decider_accepts"] += key is not None
+    return DeciderOutcome(key is not None, key, used)
+
+
+def count_simple_separation(
+    g: MultiGraph,
+    f: Iterable[int],
+    k: int,
+    dbar: float,
+    sep: Separation,
+    rng: Optional[random.Random] = None,
+    *,
+    draws: Optional[int] = None,
+    forced: Iterable[int] = (),
+    weights: Optional[IsolationWeights] = None,
+    full_tables: bool = False,
+    stats: Optional[Counter] = None,
+):
+    """Two-way decider.
+
+    Decision mode returns a DeciderOutcome after up to ``draws`` independent
+    weight draws (default 2n), and adds the call, its draws and an accept to
+    the ``decider_calls``, ``decider_draws`` and ``decider_accepts`` entries
+    of ``stats`` when one is given.  With ``full_tables`` (requires
+    ``weights``) it instead returns uncapped per-key totals for that single
+    draw, the form the brute-force tally can be compared against.
+    """
+    return _decide("count_tables_two_way", _TwoWayLayout, g, f, k, dbar, sep, rng,
+                   draws=draws, forced=forced, weights=weights,
+                   full_tables=full_tables, stats=stats)
 
 
 def count_three_way(
@@ -851,53 +821,12 @@ def count_three_way(
     forced: Iterable[int] = (),
     weights: Optional[IsolationWeights] = None,
     full_tables: bool = False,
-    stats: DeciderStats = STATS,
+    stats: Optional[Counter] = None,
 ):
     """Three-way decider; same contract as count_simple_separation."""
-    fset = frozenset(f)
-    forced_set = frozenset(forced)
-    n = g.n
-    if n > 62:
-        raise ValueError("counting deciders support n <= 62")
-    mask = (1 << (n + 1)) - 1
-    layout = _ThreeWayLayout(g, fset, sep)
-    if full_tables:
-        if weights is None:
-            raise ValueError("full_tables mode needs explicit weights")
-        two_m = sum(layout.degs.values())
-        table, packer = count_tables_three_way(
-            g, fset, sep, weights,
-            c_cap=n, d_cap=max(1, two_m), e_cap=max(1, g.m),
-            forced=forced_set, layout=layout,
-        )
-        return _table_to_keys(table, packer, n, mask)
-
-    if weights is None and rng is None:
-        raise ValueError("decision mode needs an rng or explicit weights")
-    stats.calls += 1
-    d_limit = math.floor(dbar * k)
-    two_m = sum(layout.degs.values())
-    c_cap = min(k, n)
-    d_cap = min(d_limit, two_m)
-    e_cap = min(n, g.m) if g.m else 0
-    total_draws = draws if draws is not None else max(1, 2 * n)
-    used = 0
-    for t in range(total_draws):
-        wts = weights if weights is not None else draw_weights(g, rng)
-        table, packer = count_tables_three_way(
-            g, fset, sep, wts,
-            c_cap=c_cap, d_cap=max(d_cap, 0), e_cap=e_cap,
-            forced=forced_set, layout=layout,
-        )
-        stats.draws += 1
-        used = t + 1
-        key = _scan_accept(table, packer, n, k, d_limit)
-        if key is not None:
-            stats.accepts += 1
-            return DeciderOutcome(True, key, used)
-        if weights is not None:
-            break
-    return DeciderOutcome(False, None, used)
+    return _decide("count_tables_three_way", _ThreeWayLayout, g, f, k, dbar, sep, rng,
+                   draws=draws, forced=forced, weights=weights,
+                   full_tables=full_tables, stats=stats)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ semantics: ``copy`` is cheap and mutation never aliases.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 class MultiGraph:
@@ -184,6 +184,34 @@ def connected_components(g: MultiGraph) -> List[List[int]]:
                     stack.append(u)
         comps.append(sorted(comp))
     return comps
+
+
+def rooted_forest(g: MultiGraph) -> Tuple[List[int], Dict[int, Optional[int]]]:
+    """Root every component of the forest g at its smallest vertex.
+
+    Returns the depth-first preorder, components in order of their roots and
+    children in id order, and the parent map (None at a root).  Raises
+    ValueError when g has a cycle, loops and parallel edges included.
+    """
+    parent: Dict[int, Optional[int]] = {}
+    order: List[int] = []
+    for root in g.vertices():
+        if root in parent:
+            continue
+        parent[root] = None
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u in reversed(g.neighbors(v)):
+                if u not in parent:
+                    if g.multiplicity(v, u) != 1:
+                        raise ValueError(f"parallel edge {v}-{u}: not a forest")
+                    parent[u] = v
+                    stack.append(u)
+                elif u != parent[v]:  # reached before v, not through v: a cycle
+                    raise ValueError(f"cycle through {v}-{u}: not a forest")
+    return order, parent
 
 
 def is_forest(g: MultiGraph) -> bool:

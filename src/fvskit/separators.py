@@ -17,7 +17,7 @@ import math
 import random
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .multigraph import MultiGraph, connected_components, induced, is_forest, minus
+from .multigraph import MultiGraph, connected_components, induced, is_forest, minus, rooted_forest
 
 
 # ----------------------------------------------------------------------
@@ -45,26 +45,14 @@ def forest_balanced_separator(
         raise ValueError("forest_balanced_separator needs a forest")
     total = sum(weights[v] for v in t.vertices())
 
-    parent: Dict[int, Optional[int]] = {}
+    order, parent = rooted_forest(t)  # preorder; reversed it is a postorder
     depth: Dict[int, int] = {}
-    children: Dict[int, List[int]] = {v: [] for v in t.vertices()}
-    order: List[int] = []  # preorder; reversed it is a postorder
-    for comp in connected_components(t):
-        root = comp[0]
-        parent[root] = None
-        depth[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for u in sorted(t.neighbors(v), reverse=True):
-                if u != v and u not in parent:
-                    parent[u] = v
-                    depth[u] = depth[v] + 1
-                    children[v].append(u)
-                    stack.append(u)
-        for v in comp:
-            children[v].sort()
+    children: Dict[int, List[int]] = {v: [] for v in order}
+    for v in order:
+        p = parent[v]
+        depth[v] = 0 if p is None else depth[p] + 1
+        if p is not None:
+            children[p].append(v)
 
     alive: Set[int] = set(t.vertices())
     sep: Set[int] = set()
@@ -429,33 +417,21 @@ def _forest_bags(
     if not side_forest:
         bags.append(frozenset(extra))
         return len(bags) - 1
-    sub = induced(g, side_forest)
+    order, parent = rooted_forest(induced(g, side_forest))
     bag_of: Dict[int, int] = {}
-    rep: Optional[int] = None
-    prev_root_bag: Optional[int] = None
-    for comp in connected_components(sub):
-        root = comp[0]
-        parent: Dict[int, Optional[int]] = {root: None}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            p = parent[v]
-            bag = {v} | extra if p is None else {v, p} | extra
-            bags.append(frozenset(bag))
-            bag_of[v] = len(bags) - 1
-            if p is not None:
-                edges.append((bag_of[p], bag_of[v]))
-            for u in sorted(sub.neighbors(v), reverse=True):
-                if u != v and u not in parent:
-                    parent[u] = v
-                    stack.append(u)
-        if prev_root_bag is not None:
-            edges.append((prev_root_bag, bag_of[root]))
-        prev_root_bag = bag_of[root]
-        if rep is None:
-            rep = bag_of[root]
-    assert rep is not None
-    return rep
+    root_bags: List[int] = []
+    for i, v in enumerate(order):
+        p = parent[v]
+        bags.append(frozenset(({v} if p is None else {v, p}) | extra))
+        bag_of[v] = len(bags) - 1
+        if p is None:
+            root_bags.append(bag_of[v])
+        else:
+            edges.append((bag_of[p], bag_of[v]))
+        component_done = i + 1 == len(order) or parent[order[i + 1]] is None
+        if component_done and len(root_bags) > 1:
+            edges.append((root_bags[-2], root_bags[-1]))  # chain to the previous root
+    return root_bags[0]
 
 
 def tree_decomposition_from_fvs(

@@ -26,12 +26,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
-from .cutcount import (
-    STATS,
-    count_simple_separation,
-    count_three_way,
-    reconstruct_witness,
-)
+from .cutcount import count_simple_separation, count_three_way, reconstruct_witness
 from .multigraph import MultiGraph, induced, is_forest, minus
 from .reductions import (
     reduce_exhaustive,
@@ -67,9 +62,7 @@ class SolverConfig:
     faithful_coin: bool = False        # coin-flip branch choice vs threshold
     ic_threshold: int = 8              # compress when k' <= threshold (coin off)
     max_k: int = 24
-    decider_draws: Optional[int] = None  # None -> 2n per decider call
     jobs: int = 1
-    use_ic_memo: bool = True
 
     def __post_init__(self) -> None:
         if self.variant not in DEFAULT_EPSILON:
@@ -154,9 +147,8 @@ def iterative_compression(
 
         def decide(forced: FrozenSet[int] = frozenset(),
                    draws: Optional[int] = None):
-            d = draws if draws is not None else config.decider_draws
             return decider(prefix, fat, k, dbar, sep, rng,
-                           draws=d, forced=forced)
+                           draws=draws, forced=forced, stats=stats)
 
         found = reconstruct_witness(decide, prefix, k, dbar, rng)
         if found is None:
@@ -251,27 +243,27 @@ def trial_budget(k: int, config: SolverConfig) -> int:
 def _make_ic_runner(
     config: SolverConfig,
     seed_base: int,
-    memo: Dict[Tuple[FrozenSet[int], int], Optional[FrozenSet[int]]],
+    memo: Dict[Tuple, Optional[FrozenSet[int]]],
     stats: Counter,
 ) -> IcRunner:
     """Compression entry point with memoization under graph-derived seeds.
 
-    The rng for a compression run is derived from the reduced graph's vertex
-    set and budget - not from the calling trial - so every trial (and every
-    worker process) that reaches the same reduced instance gets the same
-    answer.
+    The memo is keyed on the reduced graph itself - vertex set, edges with
+    multiplicity, budget - and the rng for a compression run is derived from
+    its vertex set and budget, not from the calling trial, so every trial
+    (and every worker process) that reaches the same reduced instance gets
+    the same answer.
     """
 
     def runner(h: MultiGraph, k2: int) -> Optional[FrozenSet[int]]:
-        key = (h.vertex_set(), k2)
-        if config.use_ic_memo and key in memo:
+        verts = h.vertex_set()
+        key = (verts, tuple(h.edges()), k2)
+        if key in memo:
             stats["ic_memo_hits"] += 1
             return memo[key]
-        token = hash((tuple(sorted(key[0])), k2)) & _M64
+        token = hash((tuple(sorted(verts)), k2)) & _M64
         rng = random.Random(_mix(seed_base, token))
-        res = iterative_compression(h, k2, config, rng, stats)
-        if config.use_ic_memo:
-            memo[key] = res
+        memo[key] = res = iterative_compression(h, k2, config, rng, stats)
         return res
 
     return runner
@@ -304,8 +296,8 @@ def solve(g: MultiGraph, k: int, config: Optional[SolverConfig] = None) -> Solve
         raise BudgetExceeded(f"k={k} above configured ceiling {config.max_k}")
     seed_base = config.seed if config.seed is not None else random.SystemRandom().randrange(1 << 63)
     budget = trial_budget(k, config)
-    stats: Counter = Counter()
-    before = (STATS.calls, STATS.draws, STATS.accepts)
+    # the decider counters are reported even when no decider ran
+    stats: Counter = Counter(decider_calls=0, decider_draws=0, decider_accepts=0)
 
     found: Optional[FrozenSet[int]] = None
     used = budget
@@ -333,14 +325,8 @@ def solve(g: MultiGraph, k: int, config: Optional[SolverConfig] = None) -> Solve
                 found, used = res, idx + 1
                 break
 
-    after = (STATS.calls, STATS.draws, STATS.accepts)
-    out_stats = dict(stats)
-    out_stats["decider_calls"] = after[0] - before[0]
-    out_stats["decider_draws"] = after[1] - before[1]
-    out_stats["decider_accepts"] = after[2] - before[2]
-
     if found is not None:
         if len(found) > k or not is_forest(minus(g, found)):
             raise RuntimeError("internal error: produced an invalid solution")
-        return SolveResult("fvs", found, used, budget, out_stats)
-    return SolveResult("infeasible", None, budget, budget, out_stats)
+        return SolveResult("fvs", found, used, budget, dict(stats))
+    return SolveResult("infeasible", None, budget, budget, dict(stats))

@@ -11,6 +11,7 @@ import math
 import random
 import statistics
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ import pytest
 import conftest
 
 from fvskit.cutcount import (
-    STATS,
     TriPartiteWeightedGraph,
     count_simple_separation,
     count_three_way,
@@ -284,7 +284,7 @@ def test_criterion_5_no_false_positives():
         (two_tri, brute_min_fvs(two_tri)[1], 1, "two"),
         (k5, brute_min_fvs(k5)[1], 2, "three"),
     ]
-    before_draws, before_accepts = STATS.draws, STATS.accepts
+    stats = Counter()
     target = 100_000
     done = 0
     i = 0
@@ -294,14 +294,14 @@ def test_criterion_5_no_false_positives():
         batch = 200
         if kind == "two":
             sep = two_way_separation(g, f, rng)
-            out = count_simple_separation(g, f, k, DBAR, sep, rng, draws=batch)
+            out = count_simple_separation(g, f, k, DBAR, sep, rng, draws=batch, stats=stats)
         else:
             sep = three_way_separation(g, f, rng)
-            out = count_three_way(g, f, k, DBAR, sep, rng, draws=batch)
+            out = count_three_way(g, f, k, DBAR, sep, rng, draws=batch, stats=stats)
         assert not out.accepted
         done += out.draws_used
-    draws = STATS.draws - before_draws
-    accepts = STATS.accepts - before_accepts
+    draws = stats["decider_draws"]
+    accepts = stats["decider_accepts"]
     ok = draws >= target and accepts == 0
     _report(5, ok, f"{draws} decider draws on infeasible instances, {accepts} accepts")
     assert ok

@@ -4,12 +4,12 @@ labeling oracle; the engine must reproduce its per-key totals exactly
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from fvskit.cutcount import (
-    STATS,
     DeciderOutcome,
     TriPartiteWeightedGraph,
     count_simple_separation,
@@ -22,7 +22,7 @@ from fvskit.cutcount import (
 )
 from fvskit.multigraph import MultiGraph, is_forest, minus
 from fvskit.oracle import brute_cut_objects, brute_cut_objects_trace, brute_min_fvs
-from fvskit.separators import three_way_separation, two_way_separation
+from fvskit.separators import Separation, three_way_separation, two_way_separation
 
 from conftest import mg, random_multigraph
 
@@ -172,13 +172,23 @@ def test_decision_respects_degree_cap(rng):
 
 
 def test_stats_counters_move(rng):
-    STATS.reset()
+    stats = Counter()
     g = mg(3, [(0, 1), (1, 2), (0, 2)])
     sep = two_way_separation(g, {0}, rng)
-    count_simple_separation(g, {0}, 1, 5.0, sep, rng, draws=3)
-    assert STATS.calls == 1
-    assert 1 <= STATS.draws <= 3
-    STATS.reset()
+    out = count_simple_separation(g, {0}, 1, 5.0, sep, rng, draws=3, stats=stats)
+    assert stats["decider_calls"] == 1
+    assert 1 <= stats["decider_draws"] <= 3
+    assert stats["decider_draws"] == out.draws_used
+    assert stats["decider_accepts"] == int(out.accepted)
+
+
+def test_rejects_f_that_is_not_an_fvs():
+    # a triangle left in the forest part would otherwise be counted as a
+    # tree and accepted at k = 0
+    g = mg(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    sep = Separation(frozenset(g.vertices()), frozenset(), frozenset())
+    with pytest.raises(ValueError):
+        count_simple_separation(g, frozenset(), 0, 5.0, sep, random.Random(1))
 
 
 def test_rejects_oversized_graphs():

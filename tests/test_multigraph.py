@@ -11,6 +11,7 @@ from fvskit.multigraph import (
     induced,
     is_forest,
     minus,
+    rooted_forest,
 )
 
 from conftest import mg
@@ -83,6 +84,25 @@ def test_induced_and_minus():
 def test_connected_components_ordering():
     g = mg(6, [(4, 5), (0, 1)])
     assert connected_components(g) == [[0, 1], [2], [3], [4, 5]]
+
+
+def test_rooted_forest_preorder_and_parents():
+    # components rooted at their smallest vertex, in root order; children
+    # visited in id order, each subtree finished before the next sibling
+    g = mg(8, [(5, 1), (1, 7), (1, 3), (3, 0), (4, 6)])
+    order, parent = rooted_forest(g)
+    assert order == [0, 3, 1, 5, 7, 2, 4, 6]
+    assert parent == {0: None, 3: 0, 1: 3, 5: 1, 7: 1, 2: None, 4: None, 6: 4}
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 1)],
+    [(0, 1), (1, 2), (1, 2)],
+    [(0, 1), (1, 2), (0, 2)],
+])
+def test_rooted_forest_rejects_cycles(edges):
+    with pytest.raises(ValueError):
+        rooted_forest(mg(3, edges))
 
 
 @pytest.mark.parametrize("edges,expect", [

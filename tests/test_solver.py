@@ -3,15 +3,18 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from fvskit.multigraph import MultiGraph, is_forest, minus
 from fvskit.oracle import brute_min_fvs
+from fvskit.reductions import reduce_exhaustive
 from fvskit.solver import (
     DEFAULT_EPSILON,
     BudgetExceeded,
     SolverConfig,
+    _make_ic_runner,
     dbar_for,
     degree_load,
     fvs_trial,
@@ -123,9 +126,14 @@ def test_three_regular_forces_compression():
 
 def test_petersen_below_minimum_is_infeasible():
     g = MultiGraph.from_edges(range(10), PETERSEN)
-    res = solve(g, 2, SolverConfig(seed=6))
-    assert res.status == "infeasible"
-    assert res.trials == res.budget == trial_budget(2, SolverConfig(seed=6))
+    for jobs in (1, 2):
+        res = solve(g, 2, SolverConfig(seed=6, jobs=jobs))
+        assert res.status == "infeasible"
+        assert res.trials == res.budget == trial_budget(2, SolverConfig(seed=6))
+        # every compression asks the decider at least once and every call
+        # draws at least once; worker counters must reach the result
+        st = res.stats
+        assert st["decider_draws"] >= st["decider_calls"] >= st["compressions"] >= 1, jobs
 
 
 def test_faithful_coin_still_solves():
@@ -183,6 +191,29 @@ def test_trial_falls_back_to_sampling_when_compression_capped():
 def test_fvs_trial_budget_zero_on_cyclic_graph():
     g = mg(3, [(0, 1), (1, 2), (0, 2)])
     assert fvs_trial(g, 0, SolverConfig(seed=0), random.Random(0)) is None
+
+
+def test_compression_memo_tells_apart_graphs_on_one_vertex_set():
+    # K5 plus a vertex 5 (double edge to 6, single edges to 0 and 1) and a
+    # vertex 6 (edge to 2): deleting 5 reduces to K5, deleting 6 to K5 with
+    # a doubled 0-1 edge - same vertex set, same budget, different graphs
+    k5 = list(itertools.combinations(range(5), 2))
+    g = mg(7, k5 + [(5, 6), (5, 6), (5, 0), (5, 1), (6, 2)])
+    plain = reduce_exhaustive(minus(g, {5}), 3)
+    doubled = reduce_exhaustive(minus(g, {6}), 3)
+    assert plain.budget == doubled.budget == 3
+    assert plain.graph.vertex_set() == doubled.graph.vertex_set()
+    assert plain.graph != doubled.graph
+    cfg = SolverConfig(seed=0)
+    stats = Counter()
+    runner = _make_ic_runner(cfg, 0, {}, stats)
+    assert runner(plain.graph, 3) is not None
+    got = runner(doubled.graph, 3)
+    assert stats["ic_memo_hits"] == 0
+    assert got is not None and is_forest(minus(doubled.graph, got))
+    assert got == _make_ic_runner(cfg, 0, {}, Counter())(doubled.graph, 3)
+    # the same graph again is answered from the memo
+    assert runner(doubled.graph, 3) == got and stats["ic_memo_hits"] == 1
 
 
 def test_stats_shape():
