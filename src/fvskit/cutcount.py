@@ -502,40 +502,6 @@ def count_tables_two_way(
 # three-way decider
 
 
-@dataclasses.dataclass
-class TriPartiteWeightedGraph:
-    """Complete tripartite weight structure: w_xy[x, y] etc. carry the ring
-    weight of the edge between class members x and y."""
-
-    w_xy: np.ndarray
-    w_xz: np.ndarray
-    w_yz: np.ndarray
-
-
-def triangle_weighted_sum(h: TriPartiteWeightedGraph, method: str = "matrix") -> int:
-    """Sum over all triangles (x, y, z) of the product of the three edge
-    weights.  ``matrix`` contracts via one matrix product (this is where a
-    fast multiplication routine would slot in); ``loops`` is the cubic
-    reference.  Overflow wraps modulo 2^64, which is harmless for ring use.
-    """
-    if method == "loops":
-        nx, ny = h.w_xy.shape
-        nz = h.w_xz.shape[1]
-        total = 0
-        for x in range(nx):
-            for y in range(ny):
-                wxy = int(h.w_xy[x, y])
-                if wxy == 0:
-                    continue
-                for z in range(nz):
-                    total += wxy * int(h.w_xz[x, z]) * int(h.w_yz[y, z])
-        return total & ((1 << 64) - 1)
-    if method != "matrix":
-        raise ValueError(f"unknown method {method!r}")
-    acc = h.w_xz @ h.w_yz.T  # [x, y] = sum_z w_xz * w_yz
-    return int((h.w_xy * acc).sum()) & ((1 << 64) - 1)
-
-
 class _ThreeWayLayout:
     """Ownership for the seven-class separation.
 

@@ -1,15 +1,21 @@
 """Brute-force reference implementations, exact and slow.
 
 These exist to pin down the randomized machinery in tests: minimum feedback
-vertex sets by subset enumeration, and exact cut-object tallies by full
-3^n label enumeration.  Hard size limits keep accidental misuse loud.
+vertex sets by subset enumeration, exact cut-object tallies by full 3^n
+label enumeration, and weighted triangle sums over a complete tripartite
+graph, both by one matrix product and by the cubic loop.  Hard size limits
+keep accidental misuse loud.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .multigraph import MultiGraph, is_forest, minus
+
+if TYPE_CHECKING:  # annotations only: the triangle sums call no numpy function
+    import numpy as np
 
 MAX_BRUTE_FVS_N = 16
 MAX_BRUTE_CUT_N = 10
@@ -105,3 +111,37 @@ def brute_cut_objects_trace(
         if not g.has_vertex(v):
             raise KeyError(f"vertex {v} not in graph")
     return _tally(g, omega_prime, dict(fixed_labels))
+
+
+@dataclasses.dataclass
+class TriPartiteWeightedGraph:
+    """Complete tripartite weight structure: w_xy[x, y] etc. carry the ring
+    weight of the edge between class members x and y."""
+
+    w_xy: np.ndarray
+    w_xz: np.ndarray
+    w_yz: np.ndarray
+
+
+def triangle_weighted_sum(h: TriPartiteWeightedGraph, method: str = "matrix") -> int:
+    """Sum over all triangles (x, y, z) of the product of the three edge
+    weights.  ``matrix`` contracts via one matrix product (this is where a
+    fast multiplication routine would slot in); ``loops`` is the cubic
+    reference.  Overflow wraps modulo 2^64, which is harmless for ring use.
+    """
+    if method == "loops":
+        nx, ny = h.w_xy.shape
+        nz = h.w_xz.shape[1]
+        total = 0
+        for x in range(nx):
+            for y in range(ny):
+                wxy = int(h.w_xy[x, y])
+                if wxy == 0:
+                    continue
+                for z in range(nz):
+                    total += wxy * int(h.w_xz[x, z]) * int(h.w_yz[y, z])
+        return total & ((1 << 64) - 1)
+    if method != "matrix":
+        raise ValueError(f"unknown method {method!r}")
+    acc = h.w_xz @ h.w_yz.T  # [x, y] = sum_z w_xz * w_yz
+    return int((h.w_xy * acc).sum()) & ((1 << 64) - 1)

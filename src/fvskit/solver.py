@@ -1,21 +1,30 @@
 """Randomized exact solver: reductions, sampling, compression, trial budget.
 
-One trial reduces the instance, then either compresses (grow the graph one
-vertex at a time, re-solving through the counting decider whenever the
-carried solution stops fitting) or deletes one sampled vertex and recurses
-with the budget lowered.  Success probability per trial is at least
-c^(-k) / poly, so ``solve`` runs ceil(trials_factor * c^k * k) independent
-trials; exhausting them is the solver's answer for infeasibility.
+One trial takes the reduced instance, then either compresses (grow the graph
+one vertex at a time, re-solving through the counting decider whenever the
+carried solution stops fitting) or deletes one sampled vertex, reduces again
+and recurses with the budget lowered.  Success probability per trial is at
+least c^(-k) / poly, so ``solve`` runs ceil(trials_factor * c^k * k)
+independent trials; exhausting them is the solver's answer for infeasibility.
 
 The degree-load constraint rides along everywhere: a solution must satisfy
 |F| <= k and sum of degrees over F <= floor(dbar * k), where dbar is fixed
 by epsilon.  The load cap is what makes degree-weighted sampling hit a
 solution vertex with constant probability on reduced graphs.
 
+The kernel rules use no randomness, so ``solve`` reduces the input once and
+every top-level trial starts from that kernel; the trials only read it.
+
 Determinism: every trial draws its own random.Random seeded by mixing the
 master seed with the trial index, and compression runs are memoized under a
 seed derived from the reduced graph itself, so results are reproducible and
-independent of the number of worker processes.
+independent of the number of worker processes.  With jobs > 1, trial 0 runs
+in the calling process first, and the workers running trials 1 to budget - 1
+start from a copy of its compression memo; without ``faithful_coin`` that
+memo holds the top-level compression every trial asks for, so it runs once.
+Compressions further down a descent are memoized per worker chunk, so a
+chunk can repeat one that another chunk ran, and so can the top-level one
+under ``faithful_coin``, where trial 0 may not compress at the top.
 """
 from __future__ import annotations
 
@@ -29,6 +38,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 from .cutcount import count_simple_separation, count_three_way, reconstruct_witness
 from .multigraph import MultiGraph, induced, is_forest, minus
 from .reductions import (
+    ReductionOutcome,
     reduce_exhaustive,
     sample_degree_weighted,
     sample_uniform,
@@ -169,11 +179,16 @@ def fvs_trial(
     ic_allowed: bool = True,
     ic_runner: Optional[IcRunner] = None,
     stats: Optional[Counter] = None,
+    kernel: Optional[ReductionOutcome] = None,
 ) -> Optional[FrozenSet[int]]:
-    """One randomized descent.  Returns a solution or None (failed trial)."""
+    """One randomized descent.  Returns a solution or None (failed trial).
+
+    ``kernel`` is ``reduce_exhaustive(g, k)`` when the caller already has it;
+    the descent only reads its graph, never mutates it.
+    """
     eps = config.eps
     dbar = config.dbar
-    red = reduce_exhaustive(g, k)
+    red = kernel if kernel is not None else reduce_exhaustive(g, k)
     if red.infeasible:
         return None
     h, k2, forced = red.graph, red.budget, red.forced
@@ -270,13 +285,12 @@ def _make_ic_runner(
 
 
 def _run_trial_range(payload) -> Tuple[Optional[int], Optional[FrozenSet[int]], Dict[str, int]]:
-    g, k, config, seed_base, start, stop = payload
-    memo: Dict = {}
+    g, k, config, seed_base, kernel, memo, start, stop = payload
     stats: Counter = Counter()
     runner = _make_ic_runner(config, seed_base, memo, stats)
     for idx in range(start, stop):
         rng = random.Random(_mix(seed_base, idx))
-        res = fvs_trial(g, k, config, rng, ic_runner=runner, stats=stats)
+        res = fvs_trial(g, k, config, rng, ic_runner=runner, stats=stats, kernel=kernel)
         if res is not None:
             return idx, res, dict(stats)
     return None, None, dict(stats)
@@ -298,13 +312,24 @@ def solve(g: MultiGraph, k: int, config: Optional[SolverConfig] = None) -> Solve
     budget = trial_budget(k, config)
     # the decider counters are reported even when no decider ran
     stats: Counter = Counter(decider_calls=0, decider_draws=0, decider_accepts=0)
+    kernel = reduce_exhaustive(g, k)
 
     found: Optional[FrozenSet[int]] = None
     used = budget
-    if config.jobs > 1 and budget >= 2 * config.jobs:
-        chunk = max(1, min(128, math.ceil(budget / (config.jobs * 4))))
-        payloads = [(g, k, config, seed_base, s, min(s + chunk, budget))
-                    for s in range(0, budget, chunk)]
+    parallel = config.jobs > 1 and budget >= 2 * config.jobs
+    # in parallel, trial 0 runs here and fills the memo the workers start from
+    memo: Dict = {}
+    runner = _make_ic_runner(config, seed_base, memo, stats)
+    for idx in range(1 if parallel else budget):
+        rng = random.Random(_mix(seed_base, idx))
+        res = fvs_trial(g, k, config, rng, ic_runner=runner, stats=stats, kernel=kernel)
+        if res is not None:
+            found, used = res, idx + 1
+            break
+    if found is None and parallel:
+        chunk = max(1, min(128, math.ceil((budget - 1) / (config.jobs * 4))))
+        payloads = [(g, k, config, seed_base, kernel, memo, s, min(s + chunk, budget))
+                    for s in range(1, budget, chunk)]
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = [pool.submit(_run_trial_range, p) for p in payloads]
             for fut in futures:
@@ -315,15 +340,6 @@ def solve(g: MultiGraph, k: int, config: Optional[SolverConfig] = None) -> Solve
                     for other in futures:
                         other.cancel()
                     break
-    else:
-        memo: Dict = {}
-        runner = _make_ic_runner(config, seed_base, memo, stats)
-        for idx in range(budget):
-            rng = random.Random(_mix(seed_base, idx))
-            res = fvs_trial(g, k, config, rng, ic_runner=runner, stats=stats)
-            if res is not None:
-                found, used = res, idx + 1
-                break
 
     if found is not None:
         if len(found) > k or not is_forest(minus(g, found)):

@@ -19,16 +19,20 @@ import pytest
 import conftest
 
 from fvskit.cutcount import (
-    TriPartiteWeightedGraph,
     count_simple_separation,
     count_three_way,
     draw_weights,
     forest_dp_table,
-    triangle_weighted_sum,
 )
 from fvskit.generate import disjoint_cycles, planted_fvs, random_gnm
 from fvskit.multigraph import MultiGraph, is_forest, minus
-from fvskit.oracle import brute_cut_objects, brute_cut_objects_trace, brute_min_fvs
+from fvskit.oracle import (
+    TriPartiteWeightedGraph,
+    brute_cut_objects,
+    brute_cut_objects_trace,
+    brute_min_fvs,
+    triangle_weighted_sum,
+)
 from fvskit.reductions import reduce_exhaustive
 from fvskit.separators import (
     check_separation,

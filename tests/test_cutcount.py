@@ -11,17 +11,21 @@ import pytest
 
 from fvskit.cutcount import (
     DeciderOutcome,
-    TriPartiteWeightedGraph,
     count_simple_separation,
     count_three_way,
     draw_weights,
     forest_dp,
     forest_dp_table,
     reconstruct_witness,
-    triangle_weighted_sum,
 )
 from fvskit.multigraph import MultiGraph, is_forest, minus
-from fvskit.oracle import brute_cut_objects, brute_cut_objects_trace, brute_min_fvs
+from fvskit.oracle import (
+    TriPartiteWeightedGraph,
+    brute_cut_objects,
+    brute_cut_objects_trace,
+    brute_min_fvs,
+    triangle_weighted_sum,
+)
 from fvskit.separators import Separation, three_way_separation, two_way_separation
 
 from conftest import mg, random_multigraph

@@ -7,6 +7,8 @@ from collections import Counter
 
 import pytest
 
+import fvskit.solver
+from fvskit.generate import disjoint_cycles
 from fvskit.multigraph import MultiGraph, is_forest, minus
 from fvskit.oracle import brute_min_fvs
 from fvskit.reductions import reduce_exhaustive
@@ -126,6 +128,7 @@ def test_three_regular_forces_compression():
 
 def test_petersen_below_minimum_is_infeasible():
     g = MultiGraph.from_edges(range(10), PETERSEN)
+    runs = []
     for jobs in (1, 2):
         res = solve(g, 2, SolverConfig(seed=6, jobs=jobs))
         assert res.status == "infeasible"
@@ -134,6 +137,12 @@ def test_petersen_below_minimum_is_infeasible():
         # draws at least once; worker counters must reach the result
         st = res.stats
         assert st["decider_draws"] >= st["decider_calls"] >= st["compressions"] >= 1, jobs
+        runs.append(res)
+    # the workers start from trial 0's compression memo, so the top-level
+    # compression every trial asks for runs once, whatever the job count
+    seq, par = runs
+    assert par.stats == seq.stats
+    assert par.trials == seq.trials
 
 
 def test_faithful_coin_still_solves():
@@ -186,6 +195,42 @@ def test_trial_falls_back_to_sampling_when_compression_capped():
     res = solve(g, 1, SolverConfig(seed=3, ic_threshold=24))
     assert res.status == "fvs" and res.fvs == frozenset({0})
     assert res.stats.get("ic_infeasible", 0) >= 1
+
+
+def test_solve_reduces_the_input_once(monkeypatch):
+    kernels = []
+
+    def recording(g, k):
+        out = reduce_exhaustive(g, k)
+        kernels.append((out, out.graph.copy()))
+        return out
+
+    monkeypatch.setattr(fvskit.solver, "reduce_exhaustive", recording)
+    # four disjoint triangles at k=3: the kernel is infeasible, so every
+    # trial fails at once and only the kernel computation is left to count
+    res = solve(disjoint_cycles([3, 3, 3, 3]), 3, SolverConfig(seed=1))
+    assert res.status == "infeasible"
+    assert res.trials == res.budget == 553
+    assert len(kernels) == 1
+
+    # trials that compress, sample and descend share the top-level kernel
+    # and must leave its graph as they found it
+    kernels.clear()
+    res = solve(mg(4, HEAVY_HUB), 1, SolverConfig(seed=3, ic_threshold=24))
+    assert res.status == "fvs"
+    assert len(kernels) > 1  # the descents reduce their own graphs
+    shared, snapshot = kernels[0]
+    assert shared.graph == snapshot
+
+
+def test_parallel_solve_found_by_trial_zero_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(fvskit.solver, "ProcessPoolExecutor", no_pool)
+    g = mg(4, HEAVY_HUB)
+    res = solve(g, 1, SolverConfig(seed=3, ic_threshold=24, jobs=2))
+    assert res.status == "fvs" and res.trials == 1
 
 
 def test_fvs_trial_budget_zero_on_cyclic_graph():
