@@ -25,6 +25,20 @@ Edge ownership is the load-bearing invariant of both deciders: every edge
 and every vertex of the graph is accounted by exactly one stage (separator
 assignment, one side's trace enumeration, or one anchored forest table), and
 the stages couple only through the labels of the enumerated vertices.
+
+Swapping L and R maps a partition to its mirror, which has the same key, so
+every table is unchanged by the swap.  The builders use this twice.  They
+enumerate only canonical labellings of the separator (two-way S, three-way
+S_123): those whose first non-F label is L.  Each counts with weight 2 for
+itself and its mirror, and the all-F labelling, its own mirror, with weight
+1.  The side and component memos are keyed on the canonical form of the
+labels a table reads, so a labelling and its mirror share one entry.
+
+The cap check is one add and one and.  Every field has 3 guard bits above
+what its cap needs, so a sum of up to four in-cap keys neither carries out of
+a field nor reaches the field's top bit.  Adding ``_Packer.bias`` sets that
+top bit exactly in the fields that exceed their caps, and ``_Packer.guard``
+masks the top bits: a key is in cap when ``(key + bias) & guard`` is 0.
 """
 from __future__ import annotations
 
@@ -73,9 +87,11 @@ class _Packer:
 
     __slots__ = ("i_cap", "d_cap", "c_cap", "e_cap",
                  "e_bits", "c_bits", "d_bits", "e_mask", "c_mask", "d_mask",
-                 "c_shift", "d_shift", "i_shift")
+                 "c_shift", "d_shift", "i_shift", "bias", "guard")
 
     def __init__(self, i_cap: int, d_cap: int, c_cap: int, e_cap: int) -> None:
+        if min(i_cap, d_cap, c_cap, e_cap) < 0:
+            raise ValueError("packer caps must be >= 0")
         self.i_cap, self.d_cap, self.c_cap, self.e_cap = i_cap, d_cap, c_cap, e_cap
         self.e_bits = max(1, e_cap.bit_length()) + 3
         self.c_bits = max(1, c_cap.bit_length()) + 3
@@ -86,6 +102,13 @@ class _Packer:
         self.c_shift = self.e_bits
         self.d_shift = self.e_bits + self.c_bits
         self.i_shift = self.e_bits + self.c_bits + self.d_bits
+        i_bits = max(1, i_cap.bit_length()) + 3
+        self.bias = self.guard = 0
+        for cap, bits, shift in ((e_cap, self.e_bits, 0), (c_cap, self.c_bits, self.c_shift),
+                                 (d_cap, self.d_bits, self.d_shift), (i_cap, i_bits, self.i_shift)):
+            top = 1 << (bits - 1)
+            self.bias |= (top - 1 - cap) << shift
+            self.guard |= top << shift
 
     def pack(self, i: int, d: int, c: int, e: int) -> int:
         return (((i << self.d_bits | d) << self.c_bits | c) << self.e_bits) | e
@@ -97,12 +120,9 @@ class _Packer:
         return (p >> self.i_shift, d, c, e)
 
     def ok(self, p: int) -> bool:
-        return (
-            (p & self.e_mask) <= self.e_cap
-            and ((p >> self.c_shift) & self.c_mask) <= self.c_cap
-            and ((p >> self.d_shift) & self.d_mask) <= self.d_cap
-            and (p >> self.i_shift) <= self.i_cap
-        )
+        """Every field of ``p`` is within its cap; exact for sums of up to
+        four in-cap keys.  The hot loops inline this test."""
+        return not ((p + self.bias) & self.guard)
 
 
 Table = Dict[int, int]
@@ -114,12 +134,12 @@ def _conv(ta: Table, tb: Table, packer: _Packer, mask: int) -> Table:
     if len(ta) < len(tb):
         ta, tb = tb, ta
     out: Table = {}
-    ok = packer.ok
+    bias, guard = packer.bias, packer.guard
     get = out.get
     for pb, cb in tb.items():
         for pa, ca in ta.items():
             key = pa + pb
-            if ok(key):
+            if not ((key + bias) & guard):
                 out[key] = (get(key, 0) + ca * cb) & mask
     return {k: v for k, v in out.items() if v}
 
@@ -249,6 +269,28 @@ def _assignments(verts: Sequence[int], forced: FrozenSet[int]):
     return itertools.product(*domains)
 
 
+_MIRROR = (F_LBL, R_LBL, L_LBL)  # indexed by label
+
+
+def _canon(labels: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The member of {labels, labels with L and R swapped} whose first non-F
+    label is L; the all-F labelling is its own mirror."""
+    for lab in labels:
+        if lab == L_LBL:
+            return labels
+        if lab == R_LBL:
+            return tuple(_MIRROR[x] for x in labels)
+    return labels
+
+
+def _canonical_assignments(verts: Sequence[int], forced: FrozenSet[int]):
+    """(labels, weight) for the canonical label tuples of ``verts``: weight 2
+    stands for the tuple and its mirror, weight 1 for the all-F tuple."""
+    for labels in _assignments(verts, forced):
+        if _canon(labels) == labels:
+            yield labels, 2 if any(lab != F_LBL for lab in labels) else 1
+
+
 def _build_forest_side(
     g: MultiGraph,
     forest_verts: List[int],
@@ -295,8 +337,8 @@ def _side_table(
     """Sum over the labellings of the side's f-vertices, with every other
     trace label already set: each labelling's trace term convolved with the
     anchored tables of the side's components.  A component table depends only
-    on its interface labels, so ``comp_memo`` keeps it under (idx, component,
-    those labels) for the whole draw."""
+    on its interface labels, and not on their mirror, so ``comp_memo`` keeps
+    it under (idx, component, canonical labels) for the whole draw."""
     out: Table = {}
     for assign in _assignments(side.f_side, forced):
         for v, lab in zip(side.f_side, assign):
@@ -306,7 +348,7 @@ def _side_table(
             continue
         acc: Table = {term: 1}
         for ci, comp in enumerate(side.comps):
-            ck = (idx, ci, tuple(labels[t] for t in comp.iface))
+            ck = (idx, ci, _canon(tuple(labels[t] for t in comp.iface)))
             tbl = comp_memo.get(ck)
             if tbl is None:
                 tbl = _component_table(comp, labels, wts, degs, packer, mask, forced)
@@ -316,6 +358,32 @@ def _side_table(
                 break
         _union_into(out, acc, mask)
     return out
+
+
+def _side_tables(
+    layout: Union[_TwoWayLayout, _ThreeWayLayout],
+    labels: Dict[int, int],
+    wts: IsolationWeights,
+    packer: _Packer,
+    mask: int,
+    forced: FrozenSet[int],
+) -> Callable[[int], Table]:
+    """Side i's table under the current ``labels``, for one draw.  It depends
+    only on the labels of ``layout.rels[i]``, and not on their mirror, so it
+    is built once per canonical form of those labels."""
+    comp_memo: Dict[Tuple, Table] = {}
+    memos: List[Dict[Tuple[int, ...], Table]] = [{} for _ in layout.sides]
+
+    def side_table(idx: int) -> Table:
+        memo_key = _canon(tuple(labels[t] for t in layout.rels[idx]))
+        tbl = memos[idx].get(memo_key)
+        if tbl is None:
+            tbl = _side_table(idx, layout.sides[idx], labels, wts, layout.degs, packer, mask,
+                              forced, comp_memo)
+            memos[idx][memo_key] = tbl
+        return tbl
+
+    return side_table
 
 
 # ----------------------------------------------------------------------
@@ -448,35 +516,25 @@ def count_tables_two_way(
 ) -> Tuple[Table, _Packer]:
     """One full per-key table for a fixed weight draw.
 
-    Stage structure: enumerate separator labels; per side, enumerate that
-    side's f-vertices and extend by the anchored tables of the side's
-    forest components; combine the two side tables under the separator term.
+    Stage structure: enumerate canonical separator labels; per side,
+    enumerate that side's f-vertices and extend by the anchored tables of the
+    side's forest components; combine the two side tables under the
+    separator term, weighted for the labelling's mirror.
     """
     lay = layout
     n = lay.n
     mask = (1 << (n + 1)) - 1
     packer = _Packer(i_cap=2 * n * min(c_cap, n) if n else 0,
                      d_cap=d_cap, c_cap=c_cap, e_cap=e_cap)
-    degs = lay.degs
     labels: Dict[int, int] = {}
-    comp_memo: Dict[Tuple, Table] = {}
-    side_memo: Tuple[Dict, Dict] = ({}, {})
-
-    def side_table(idx: int) -> Table:
-        memo_key = tuple(labels[t] for t in lay.rels[idx])
-        cached = side_memo[idx].get(memo_key)
-        if cached is None:
-            cached = _side_table(idx, lay.sides[idx], labels, wts, degs, packer, mask,
-                                 forced, comp_memo)
-            side_memo[idx][memo_key] = cached
-        return cached
+    side_table = _side_tables(lay, labels, wts, packer, mask, forced)
 
     out: Table = {}
-    ok = packer.ok
-    for sigma in _assignments(lay.s_order, forced):
+    bias, guard = packer.bias, packer.guard
+    for sigma, weight in _canonical_assignments(lay.s_order, forced):
         for v, lab in zip(lay.s_order, sigma):
             labels[v] = lab
-        term_s = _trace_term(lay.s_order, lay.s_edges, labels, wts, degs, packer)
+        term_s = _trace_term(lay.s_order, lay.s_edges, labels, wts, lay.degs, packer)
         if term_s is None:
             continue
         ta = side_table(0)
@@ -487,9 +545,10 @@ def count_tables_two_way(
             continue
         for pa, ca in ta.items():
             base = term_s + pa
+            ca *= weight
             for pb, cb in tb.items():
                 key = base + pb
-                if ok(key):
+                if not ((key + bias) & guard):
                     nv = (out.get(key, 0) + ca * cb) & mask
                     if nv:
                         out[key] = nv
@@ -511,10 +570,12 @@ class _ThreeWayLayout:
     the global class (S_12 -> side 1, S_23 -> side 2, S_13 -> side 3) and
     the cross-pair edges that share its index.  The global class S_123
     owns itself and its internal edges.  ``side_pairs[i]`` names the two
-    pairwise classes adjacent to side i.
+    pairwise classes adjacent to side i; ``rels[i]`` lists the vertices
+    outside S_i whose labels side i's table depends on.
     """
 
-    __slots__ = ("s123", "s123_edges", "pair_orders", "sides", "side_pairs", "degs", "n")
+    __slots__ = ("s123", "s123_edges", "pair_orders", "sides", "side_pairs", "rels", "degs",
+                 "n")
 
     def __init__(self, g: MultiGraph, fset: FrozenSet[int], sep: ThreeWaySeparation):
         self.n = g.n
@@ -561,6 +622,7 @@ class _ThreeWayLayout:
         owned_pair = {"1": "12", "2": "23", "3": "13"}
         self.sides: List[_Side] = []
         self.side_pairs: List[Tuple[str, str]] = []
+        self.rels: List[List[int]] = []
         for name in ("1", "2", "3"):
             own = cls[name]
             f_side = sorted(own & fset)
@@ -576,6 +638,8 @@ class _ThreeWayLayout:
             term_verts = f_side + sorted(cls[owned_pair[name]])
             self.sides.append(_Side(f_side, term_verts, owned, comps))
             self.side_pairs.append((pa, pb))
+            rel = set(term_verts).union(*(e[:2] for e in owned), *(c.iface for c in comps))
+            self.rels.append(sorted(rel - set(f_side)))
 
 
 def count_tables_three_way(
@@ -589,9 +653,10 @@ def count_tables_three_way(
 ) -> Tuple[Table, _Packer]:
     """Per-key table via the tripartite contraction.
 
-    For each labelling of the global class, each side yields a table per
-    assignment pair of its two adjacent pairwise classes; stacking those as
-    matrices over (pair assignment x pair assignment) per key turns the sum
+    For each canonical labelling of the global class (weighted for its
+    mirror), each side yields a table per assignment pair of its two
+    adjacent pairwise classes; stacking those as matrices over
+    (pair assignment x pair assignment) per key turns the sum
     over the three pairwise classes into triangle-weighted sums, evaluated
     batched over all key splits in one einsum.
     """
@@ -600,23 +665,23 @@ def count_tables_three_way(
     mask = (1 << (n + 1)) - 1
     packer = _Packer(i_cap=2 * n * min(c_cap, n) if n else 0,
                      d_cap=d_cap, c_cap=c_cap, e_cap=e_cap)
-    degs = lay.degs
     labels: Dict[int, int] = {}
+    side_table = _side_tables(lay, labels, wts, packer, mask, forced)
     pair_assign = {name: list(_assignments(order, forced))
                    for name, order in lay.pair_orders.items()}
-    comp_memo: Dict[Tuple, Table] = {}
 
     out: Table = {}
-    for sigma in _assignments(lay.s123, forced):
+    bias, guard = packer.bias, packer.guard
+    for sigma, weight in _canonical_assignments(lay.s123, forced):
         for v, lab in zip(lay.s123, sigma):
             labels[v] = lab
-        term_g = _trace_term(lay.s123, lay.s123_edges, labels, wts, degs, packer)
+        term_g = _trace_term(lay.s123, lay.s123_edges, labels, wts, lay.degs, packer)
         if term_g is None:
             continue
 
         # per side, its tables stacked into a (key, pair, pair) array
         stacks: List[Tuple[List[int], np.ndarray]] = []
-        for i, (side, (pa, pb)) in enumerate(zip(lay.sides, lay.side_pairs)):
+        for i, (pa, pb) in enumerate(lay.side_pairs):
             tables: Dict[Tuple[int, int], Table] = {}
             for ia, assign_a in enumerate(pair_assign[pa]):
                 for v, lab in zip(lay.pair_orders[pa], assign_a):
@@ -624,8 +689,7 @@ def count_tables_three_way(
                 for ib, assign_b in enumerate(pair_assign[pb]):
                     for v, lab in zip(lay.pair_orders[pb], assign_b):
                         labels[v] = lab
-                    side_tbl = _side_table(i, side, labels, wts, degs, packer, mask,
-                                           forced, comp_memo)
+                    side_tbl = side_table(i)
                     if side_tbl:
                         tables[(ia, ib)] = side_tbl
             if not tables:
@@ -644,10 +708,11 @@ def count_tables_three_way(
         # batched triangle-weighted sums: one (x, y, z) contraction per key split
         (keys1, a1), (keys2, a2), (keys3, a3) = stacks
         tri = np.einsum("axy,bxz,cyz->abc", a1, a2, a3, optimize=True)
-        for ak, bk, ck in zip(*np.nonzero(tri)):
+        nz = np.nonzero(tri)
+        for ak, bk, ck, cnt in zip(*(ix.tolist() for ix in nz), tri[nz].tolist()):
             key = term_g + keys1[ak] + keys2[bk] + keys3[ck]
-            if packer.ok(key):
-                nv = (out.get(key, 0) + int(tri[ak, bk, ck])) & mask
+            if not ((key + bias) & guard):
+                nv = (out.get(key, 0) + cnt * weight) & mask
                 if nv:
                     out[key] = nv
                 elif key in out:

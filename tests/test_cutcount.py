@@ -3,12 +3,15 @@ labeling oracle; the engine must reproduce its per-key totals exactly
 (modulo the working ring) through both separation shapes."""
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from fvskit import cutcount
 from fvskit.cutcount import (
     DeciderOutcome,
     count_simple_separation,
@@ -18,6 +21,7 @@ from fvskit.cutcount import (
     forest_dp_table,
     reconstruct_witness,
 )
+from fvskit.generate import random_gnm
 from fvskit.multigraph import MultiGraph, is_forest, minus
 from fvskit.oracle import (
     TriPartiteWeightedGraph,
@@ -245,6 +249,132 @@ def test_deciders_agree_on_decisions(rng):
         # same weights, same modulus test: identical accept verdicts and keys
         assert a.accepted == b.accepted
         assert a.key == b.key
+
+
+# ------------------------------------------------- caps and the mirror
+
+_BUILDERS = (
+    (two_way_separation, cutcount._TwoWayLayout, "count_tables_two_way"),
+    (three_way_separation, cutcount._ThreeWayLayout, "count_tables_three_way"),
+)
+
+
+def _unpacked(table, packer):
+    return {packer.unpack(p): cnt for p, cnt in table.items()}
+
+
+@pytest.mark.parametrize("sep_fn, layout_cls, builder", _BUILDERS)
+def test_capped_tables_are_the_uncapped_tables_cut_to_the_caps(rng, sep_fn, layout_cls,
+                                                               builder):
+    # decision mode drops partial keys beyond the caps as it goes, and counts
+    # each mirrored labelling once with weight 2; the full table filtered to
+    # the caps afterwards must come out the same
+    build = getattr(cutcount, builder)
+    checked = 0
+    while checked < 40:
+        g = random_multigraph(rng, n_max=8)
+        f = _superset_fvs(g, rng)
+        if not f:
+            continue
+        checked += 1
+        layout = layout_cls(g, f, sep_fn(g, f, rng))
+        w = draw_weights(g, rng)
+        two_m = sum(layout.degs.values())
+        pins = frozenset(v for v in g.vertices() if rng.random() < 0.25)
+        for forced in (frozenset(), pins):
+            full, full_packer = build(layout, w, c_cap=g.n, d_cap=max(1, two_m),
+                                      e_cap=max(1, g.m), forced=forced)
+            caps = dict(c_cap=rng.randrange(len(f)), d_cap=rng.randrange(0, 5),
+                        e_cap=rng.randrange(0, 3))
+            capped, packer = build(layout, w, forced=forced, **caps)
+            expected = {
+                (i, d, c, e): cnt for (i, d, c, e), cnt in _unpacked(full, full_packer).items()
+                if i <= packer.i_cap and d <= caps["d_cap"] and c <= caps["c_cap"]
+                and e <= caps["e_cap"]
+            }
+            assert _unpacked(capped, packer) == expected
+
+
+@given(caps=st.tuples(*(st.one_of(st.just(0), st.integers(0, 600)),) * 4), data=st.data())
+def test_packer_ok_is_the_per_field_cap_check(caps, data):
+    packer = cutcount._Packer(*caps)
+    parts = data.draw(st.lists(st.tuples(*(st.integers(0, cap) for cap in caps)),
+                               min_size=2, max_size=4))
+    key = sum(packer.pack(*p) for p in parts)
+    fields = tuple(sum(col) for col in zip(*parts))
+    assert packer.unpack(key) == fields  # no carry across fields
+    assert packer.ok(key) == all(v <= cap for v, cap in zip(fields, caps))
+
+
+@pytest.mark.parametrize("caps", [(0, 0, 0, 0), (0, 7, 3, 9), (1, 1, 1, 1), (600, 255, 256, 8)])
+def test_packer_ok_at_the_edge_of_the_caps(caps):
+    # four keys at their caps sum to 4 * cap per field, the most a sum can
+    # reach; one more in any field is over the cap
+    packer = cutcount._Packer(*caps)
+    at_caps = packer.pack(*caps)
+    assert packer.ok(at_caps)
+    assert packer.unpack(4 * at_caps) == tuple(4 * cap for cap in caps)
+    assert packer.ok(4 * at_caps) == (max(caps) == 0)
+    for field in range(4):
+        one = [0, 0, 0, 0]
+        one[field] = 1
+        assert not packer.ok(at_caps + packer.pack(*one))
+        assert packer.unpack(4 * at_caps + packer.pack(*one))[field] == 4 * caps[field] + 1
+
+
+@pytest.mark.parametrize("field", range(4))
+def test_packer_rejects_negative_caps(field):
+    caps = [3, 3, 3, 3]
+    caps[field] = -1
+    with pytest.raises(ValueError):
+        cutcount._Packer(*caps)
+
+
+def _mirror(labels):
+    return tuple((0, 2, 1)[x] for x in labels)
+
+
+def test_canon_picks_one_member_of_each_mirrored_pair():
+    for size in range(5):
+        for labels in itertools.product((0, 1, 2), repeat=size):
+            canon = cutcount._canon(labels)
+            assert cutcount._canon(canon) == canon
+            assert cutcount._canon(_mirror(labels)) == canon
+            # the member whose first non-F label is L (L = 1 < R = 2)
+            assert canon == min(labels, _mirror(labels))
+    assert cutcount._canon((0, 0, 0)) == (0, 0, 0)
+
+
+def _side_reads(side):
+    """Every label a side table reads outside the side's own f-vertices."""
+    reads = set(side.term_verts)
+    for u, v, _ in side.owned:
+        reads.update((u, v))
+    for comp in side.comps:
+        reads.update(comp.iface)
+    return sorted(reads - set(side.f_side))
+
+
+@pytest.mark.parametrize("sep_fn, layout_cls, builder", _BUILDERS)
+def test_each_side_table_is_built_once_per_canonical_labelling(monkeypatch, sep_fn,
+                                                                layout_cls, builder):
+    g = random_gnm(11, 20, random.Random(3), allow_loops=False, allow_multi=False)
+    _, f = brute_min_fvs(g)
+    layout = layout_cls(g, f, sep_fn(g, f, random.Random(3)))
+    reads = [_side_reads(side) for side in layout.sides]
+    built = []
+    real = cutcount._side_table
+
+    def counting(idx, side, labels, *args):
+        read = tuple(labels[t] for t in reads[idx])
+        built.append((idx, min(read, _mirror(read))))
+        return real(idx, side, labels, *args)
+
+    monkeypatch.setattr(cutcount, "_side_table", counting)
+    w = draw_weights(g, random.Random(2))
+    getattr(cutcount, builder)(layout, w, c_cap=len(f), d_cap=40, e_cap=g.m)
+    assert len(built) > len(layout.sides)
+    assert len(built) == len(set(built))
 
 
 # ------------------------------------------------------ triangle sums
