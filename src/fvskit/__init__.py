@@ -27,7 +27,6 @@ from .cutcount import (
     count_simple_separation,
     count_three_way,
     draw_weights,
-    forest_dp,
     forest_dp_table,
     reconstruct_witness,
 )
@@ -53,7 +52,7 @@ __all__ = [
     "tree_decomposition_from_fvs", "validate_decomposition",
     "DeciderOutcome", "IsolationWeights",
     "count_simple_separation", "count_three_way", "draw_weights",
-    "forest_dp", "forest_dp_table", "reconstruct_witness",
+    "forest_dp_table", "reconstruct_witness",
     "BudgetExceeded", "SolveResult", "SolverConfig",
     "fvs_trial", "iterative_compression", "solve", "trial_budget",
     "__version__",

@@ -361,7 +361,7 @@ def _side_table(
 
 
 def _side_tables(
-    layout: Union[_TwoWayLayout, _ThreeWayLayout],
+    layout: _Layout,
     labels: Dict[int, int],
     wts: IsolationWeights,
     packer: _Packer,
@@ -434,79 +434,83 @@ def forest_dp_table(
     return _table_to_keys(acc, packer, n)
 
 
-def forest_dp(
-    g: MultiGraph,
-    wts: IsolationWeights,
-    f_part: Iterable[int],
-    l_part: Iterable[int],
-    r_part: Iterable[int],
-    s: int,
-    m_prime: int,
-    w_target: int,
-) -> int:
-    """Ring count of partitions extending (F, L, R) at one key."""
-    return forest_dp_table(g, wts, f_part, l_part, r_part).get((w_target, s, m_prime), 0)
+# ----------------------------------------------------------------------
+# the layout both deciders share
+
+
+class _Layout:
+    """Vertex and edge ownership for one (graph, f, separation) triple.
+
+    ``classes`` maps the non-empty subsets of the colors {1..c}, c = 2 or 3,
+    to their vertex classes, as ``by_index()`` gives them.  Side i is the
+    singleton class {i}; the global class is the all-colors class G.  At three
+    colors, side i also owns the pairwise class P_i = {i, i mod 3 + 1}
+    (S_12 -> side 1, S_23 -> side 2, S_13 -> side 3); at two colors the only
+    two-color set is G, so there are no pairwise classes.
+
+    Every vertex belongs to its class, and every edge uv to the class indexed
+    by I(u) ∩ I(v), which a separation keeps non-empty.  The global stage
+    settles G and its internal edges; side i settles what {i} and P_i own:
+    the f-vertices of S_i label by label, the vertices of P_i in its trace
+    term, and the forest part of S_i through tables anchored on the side's
+    trace (its f-vertices, G and the pairwise classes containing i), which
+    absorb every edge with a forest endpoint.  ``sides[i - 1]`` is side i,
+    ``side_pairs[i - 1]`` names its pairwise classes, and ``rels[i - 1]``
+    lists the vertices outside S_i whose labels its table depends on.
+    """
+
+    __slots__ = ("global_order", "global_edges", "pair_orders", "sides", "side_pairs", "rels",
+                 "degs", "n")
+
+    def __init__(self, g: MultiGraph, fset: FrozenSet[int],
+                 classes: Dict[FrozenSet[int], FrozenSet[int]]):
+        self.n = g.n
+        self.degs = {v: g.degree(v) for v in g.vertices()}
+        colors = max(map(len, classes))
+        glob = frozenset(range(1, colors + 1))
+        index_of = {v: ix for ix, verts in classes.items() for v in verts}
+        # side i - 1 settles {i} and P_i; at two colors P_i is G
+        own_pair = [frozenset({i, i % colors + 1}) for i in range(1, colors + 1)]
+        side_of = {frozenset({i + 1}): i for i in range(colors)}
+        side_of.update((p, i) for i, p in enumerate(own_pair) if p != glob)
+        pairs = sorted((p for p in own_pair if p != glob), key=sorted)
+        self.global_order = sorted(classes[glob])
+        self.pair_orders = {ix: sorted(classes[ix]) for ix in pairs}
+        self.global_edges: List[Tuple[int, int, int]] = []
+        edges_by_side: List[List[Tuple[int, int, int]]] = [[] for _ in range(colors)]
+        for u, v, mult in g.edges():
+            shared = index_of[u] & index_of[v]
+            if not shared:
+                raise ValueError(f"edge {u}-{v} joins classes with disjoint index sets "
+                                 f"{sorted(index_of[u])} / {sorted(index_of[v])}")
+            if shared == glob:
+                self.global_edges.append((u, v, mult))
+            else:
+                edges_by_side[side_of[shared]].append((u, v, mult))
+        self.sides: List[_Side] = []
+        self.side_pairs: List[Tuple[FrozenSet[int], ...]] = []
+        self.rels: List[List[int]] = []
+        for i in range(colors):
+            own = classes[frozenset({i + 1})]
+            f_side = sorted(own & fset)
+            forest = own - fset
+            side_pairs = tuple(ix for ix in pairs if i + 1 in ix)
+            trace = set(f_side).union(self.global_order, *(classes[ix] for ix in side_pairs))
+            comps = _build_forest_side(g, sorted(forest), trace)
+            owned = [e for e in edges_by_side[i] if e[0] not in forest and e[1] not in forest]
+            term_verts = f_side + self.pair_orders.get(own_pair[i], [])
+            self.sides.append(_Side(f_side, term_verts, owned, comps))
+            self.side_pairs.append(side_pairs)
+            rel = set(term_verts).union(*(e[:2] for e in owned), *(c.iface for c in comps))
+            self.rels.append(sorted(rel - set(f_side)))
 
 
 # ----------------------------------------------------------------------
 # two-way decider
 
 
-class _TwoWayLayout:
-    """Edge/vertex ownership for one (graph, f, separation) triple.
-
-    ``sides`` holds side A then side B; ``rels[i]`` lists the separator
-    vertices whose labels side i's table depends on.
-    """
-
-    __slots__ = ("s_order", "s_edges", "sides", "rels", "degs", "n")
-
-    def __init__(self, g: MultiGraph, fset: FrozenSet[int], sep: Separation):
-        self.n = g.n
-        self.degs = {v: g.degree(v) for v in g.vertices()}
-        self.s_order = sorted(sep.s)
-        zone: Dict[int, int] = {}
-        for v in sep.s:
-            zone[v] = 0
-        for v in sep.a:
-            zone[v] = 1
-        for v in sep.b:
-            zone[v] = 2
-        self.s_edges: List[Tuple[int, int, int]] = []
-        for u, v, mult in g.edges():
-            zu, zv = zone[u], zone[v]
-            if zu == 0 and zv == 0:
-                self.s_edges.append((u, v, mult))
-            elif {zu, zv} == {1, 2}:
-                raise ValueError(f"edge {u}-{v} crosses the separation")
-        self.sides: List[_Side] = []
-        self.rels: List[List[int]] = []
-        for side_set in (sep.a, sep.b):
-            f_side = sorted(side_set & fset)
-            forest = sorted(side_set - fset)
-            trace = set(f_side) | set(self.s_order)
-            comps = _build_forest_side(g, forest, trace)
-            owned: List[Tuple[int, int, int]] = []
-            f_side_set = set(f_side)
-            for u, v, mult in g.edges():
-                if u in f_side_set and (v in f_side_set or zone[v] == 0):
-                    owned.append((u, v, mult))
-                elif v in f_side_set and zone[u] == 0:
-                    owned.append((u, v, mult))
-            rel = set()
-            for comp in comps:
-                rel.update(t for t in comp.iface if zone[t] == 0)
-            for u, v, _ in owned:
-                if zone[u] == 0:
-                    rel.add(u)
-                if zone[v] == 0:
-                    rel.add(v)
-            self.sides.append(_Side(f_side, f_side, owned, comps))
-            self.rels.append(sorted(rel))
-
-
 def count_tables_two_way(
-    layout: _TwoWayLayout,
+    layout: _Layout,
     wts: IsolationWeights,
     *,
     c_cap: int,
@@ -531,10 +535,10 @@ def count_tables_two_way(
 
     out: Table = {}
     bias, guard = packer.bias, packer.guard
-    for sigma, weight in _canonical_assignments(lay.s_order, forced):
-        for v, lab in zip(lay.s_order, sigma):
+    for sigma, weight in _canonical_assignments(lay.global_order, forced):
+        for v, lab in zip(lay.global_order, sigma):
             labels[v] = lab
-        term_s = _trace_term(lay.s_order, lay.s_edges, labels, wts, lay.degs, packer)
+        term_s = _trace_term(lay.global_order, lay.global_edges, labels, wts, lay.degs, packer)
         if term_s is None:
             continue
         ta = side_table(0)
@@ -561,89 +565,8 @@ def count_tables_two_way(
 # three-way decider
 
 
-class _ThreeWayLayout:
-    """Ownership for the seven-class separation.
-
-    Side i owns: its own class S_i (f-part enumerated, forest part via
-    anchored tables), every edge incident to S_i, plus - cyclically - the
-    vertex terms and internal edges of one pairwise class and its edges to
-    the global class (S_12 -> side 1, S_23 -> side 2, S_13 -> side 3) and
-    the cross-pair edges that share its index.  The global class S_123
-    owns itself and its internal edges.  ``side_pairs[i]`` names the two
-    pairwise classes adjacent to side i; ``rels[i]`` lists the vertices
-    outside S_i whose labels side i's table depends on.
-    """
-
-    __slots__ = ("s123", "s123_edges", "pair_orders", "sides", "side_pairs", "rels", "degs",
-                 "n")
-
-    def __init__(self, g: MultiGraph, fset: FrozenSet[int], sep: ThreeWaySeparation):
-        self.n = g.n
-        self.degs = {v: g.degree(v) for v in g.vertices()}
-        cls = {
-            "1": sep.s1, "2": sep.s2, "3": sep.s3,
-            "12": sep.s12, "13": sep.s13, "23": sep.s23,
-            "123": sep.s123,
-        }
-        zone: Dict[int, str] = {}
-        for name, verts in cls.items():
-            for v in verts:
-                zone[v] = name
-        self.s123 = sorted(sep.s123)
-        self.pair_orders = {name: sorted(cls[name]) for name in ("12", "13", "23")}
-        edges_by_owner: Dict[str, List[Tuple[int, int, int]]] = {
-            "1": [], "2": [], "3": [], "g": [],
-        }
-        pair_owner = {"12": "1", "23": "2", "13": "3"}
-        cross_owner = {
-            frozenset(("12", "13")): "1",
-            frozenset(("12", "23")): "2",
-            frozenset(("13", "23")): "3",
-        }
-        for u, v, mult in g.edges():
-            zu, zv = zone[u], zone[v]
-            su, sv = set(zu), set(zv)
-            if not (su & sv):
-                raise ValueError(f"edge {u}-{v} joins disjoint classes {zu}/{zv}")
-            if zu == "123" and zv == "123":
-                edges_by_owner["g"].append((u, v, mult))
-            elif zu in ("1", "2", "3"):
-                edges_by_owner[zu].append((u, v, mult))
-            elif zv in ("1", "2", "3"):
-                edges_by_owner[zv].append((u, v, mult))
-            elif zu == zv:  # pairwise internal
-                edges_by_owner[pair_owner[zu]].append((u, v, mult))
-            elif "123" in (zu, zv):  # pairwise to global
-                pair = zu if zv == "123" else zv
-                edges_by_owner[pair_owner[pair]].append((u, v, mult))
-            else:  # cross-pair
-                edges_by_owner[cross_owner[frozenset((zu, zv))]].append((u, v, mult))
-        self.s123_edges = edges_by_owner["g"]
-        owned_pair = {"1": "12", "2": "23", "3": "13"}
-        self.sides: List[_Side] = []
-        self.side_pairs: List[Tuple[str, str]] = []
-        self.rels: List[List[int]] = []
-        for name in ("1", "2", "3"):
-            own = cls[name]
-            f_side = sorted(own & fset)
-            forest = own - fset
-            pa, pb = [p for p in ("12", "13", "23") if name in p]
-            trace = set(f_side) | set(self.s123) | cls[pa] | cls[pb]
-            comps = _build_forest_side(g, sorted(forest), trace)
-            # edges with a forest-part endpoint are settled inside the
-            # anchored tables, not in the side's trace term
-            owned = [e for e in edges_by_owner[name]
-                     if e[0] not in forest and e[1] not in forest]
-            # the vertex terms of the side's own pairwise class ride along
-            term_verts = f_side + sorted(cls[owned_pair[name]])
-            self.sides.append(_Side(f_side, term_verts, owned, comps))
-            self.side_pairs.append((pa, pb))
-            rel = set(term_verts).union(*(e[:2] for e in owned), *(c.iface for c in comps))
-            self.rels.append(sorted(rel - set(f_side)))
-
-
 def count_tables_three_way(
-    layout: _ThreeWayLayout,
+    layout: _Layout,
     wts: IsolationWeights,
     *,
     c_cap: int,
@@ -672,10 +595,10 @@ def count_tables_three_way(
 
     out: Table = {}
     bias, guard = packer.bias, packer.guard
-    for sigma, weight in _canonical_assignments(lay.s123, forced):
-        for v, lab in zip(lay.s123, sigma):
+    for sigma, weight in _canonical_assignments(lay.global_order, forced):
+        for v, lab in zip(lay.global_order, sigma):
             labels[v] = lab
-        term_g = _trace_term(lay.s123, lay.s123_edges, labels, wts, lay.degs, packer)
+        term_g = _trace_term(lay.global_order, lay.global_edges, labels, wts, lay.degs, packer)
         if term_g is None:
             continue
 
@@ -760,7 +683,6 @@ def _table_to_keys(table: Table, packer: _Packer, n: int) -> Dict[Tuple[int, int
 
 def _decide(
     tables_name: str,
-    layout_cls: type,
     g: MultiGraph,
     f: Iterable[int],
     k: int,
@@ -779,7 +701,7 @@ def _decide(
     n = g.n
     if n > 62:
         raise ValueError("counting deciders support n <= 62")
-    layout = layout_cls(g, frozenset(f), sep)
+    layout = _Layout(g, frozenset(f), sep.by_index())
     # looked up at call time, so a wrapper put on the module attribute sees
     # every table built
     tables = globals()[tables_name]
@@ -835,7 +757,7 @@ def count_simple_separation(
     ``weights``) it instead returns uncapped per-key totals for that single
     draw, the form the brute-force tally can be compared against.
     """
-    return _decide("count_tables_two_way", _TwoWayLayout, g, f, k, dbar, sep, rng,
+    return _decide("count_tables_two_way", g, f, k, dbar, sep, rng,
                    draws=draws, forced=forced, weights=weights,
                    full_tables=full_tables, stats=stats)
 
@@ -855,7 +777,7 @@ def count_three_way(
     stats: Optional[Counter] = None,
 ):
     """Three-way decider; same contract as count_simple_separation."""
-    return _decide("count_tables_three_way", _ThreeWayLayout, g, f, k, dbar, sep, rng,
+    return _decide("count_tables_three_way", g, f, k, dbar, sep, rng,
                    draws=draws, forced=forced, weights=weights,
                    full_tables=full_tables, stats=stats)
 

@@ -1,18 +1,23 @@
 """Balanced forest separators, randomized two/three-way separations, and
 FVS-based tree decompositions.
 
-The common scheme: given a graph g and a feedback vertex set f, the forest
-g - f is split by a small balanced separator S_eps; the remaining forest
-components and the edges inside f become vertices of a constraint graph H
-whose random coloring assigns whole components to sides.  An f-vertex joins
-a side only when everything it touches agrees on that side, so no edge can
-ever cross between sides.  Balance is a target, never a promise: the best
-of ``attempts`` colorings is kept and its score recorded, but validity alone
-is guaranteed.
+One coloring scheme serves both separations, with 2 or 3 colors: given a
+graph g and a feedback vertex set f, the forest g - f is split by a small
+balanced separator S_eps; the remaining forest components and the edges
+inside f become the right vertices of a constraint graph H, and each gets a
+random color.  Classes are indexed by non-empty sets of colors: a forest
+component joins the singleton class of its color, an f-vertex the class
+indexed by exactly the colors it sees (one random color if it sees none),
+and S_eps the all-colors class.  An edge therefore only ever joins classes
+whose index sets intersect; with two colors, S_1 and S_2 are the sides A and
+B and S_12 is the separator S.  Balance is a target, never a promise: the
+best of ``attempts`` colorings is kept and its score recorded, but validity
+alone is guaranteed.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -142,49 +147,43 @@ def build_constraint_bipartite(
 
 
 # ----------------------------------------------------------------------
-# two-way separation
+# colored separations
 
 
-@dataclasses.dataclass(frozen=True)
-class Separation:
-    a: FrozenSet[int]
-    b: FrozenSet[int]
-    s: FrozenSet[int]
-    s_eps: FrozenSet[int] = frozenset()
-    balance: int = 0  # min(|a ∩ f|, |b ∩ f|) of the kept coloring
-
-    def classes(self) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
-        return self.a, self.b, self.s
-
-    def absorb(self, v: int) -> "Separation":
-        """Move v (or add it) into the separator class."""
-        return Separation(
-            self.a - {v}, self.b - {v}, self.s | {v}, self.s_eps, self.balance
-        )
+def _index_sets(colors: int) -> List[FrozenSet[int]]:
+    """The non-empty subsets of {1..colors}, singletons first."""
+    return [frozenset(ix) for size in range(1, colors + 1)
+            for ix in itertools.combinations(range(1, colors + 1), size)]
 
 
-def check_separation(g: MultiGraph, sep: Separation) -> None:
-    """Raise unless (a, b, s) partitions V(g) with no a-b edge."""
-    a, b, s = sep.a, sep.b, sep.s
-    verts = g.vertex_set()
-    if a | b | s != verts or (a & b) or (a & s) or (b & s):
+def _check_classes(g: MultiGraph, by_index: Dict[FrozenSet[int], FrozenSet[int]]) -> None:
+    """Raise unless the classes partition V(g) and every edge joins classes
+    whose index sets intersect."""
+    union = frozenset().union(*by_index.values())
+    if union != g.vertex_set() or sum(map(len, by_index.values())) != g.n:
         raise ValueError("separation classes do not partition the vertex set")
+    owner = {v: idx for idx, verts in by_index.items() for v in verts}
     for u, v, _ in g.edges():
-        if (u in a and v in b) or (u in b and v in a):
-            raise ValueError(f"edge {u}-{v} crosses between the two sides")
+        if not (owner[u] & owner[v]):
+            raise ValueError(
+                f"edge {u}-{v} joins classes with disjoint index sets "
+                f"{sorted(owner[u])} / {sorted(owner[v])}"
+            )
 
 
-def two_way_separation(
+def _colored_separation(
     g: MultiGraph,
     f: Iterable[int],
     rng: random.Random,
-    attempts: int = 25,
-    budget: Optional[int] = None,
-) -> Separation:
-    """Separation (A, B, S) of g with no A-B edge, f split across all three.
+    colors: int,
+    attempts: int,
+    budget: Optional[int],
+) -> Tuple[Dict[FrozenSet[int], FrozenSet[int]], FrozenSet[int], int]:
+    """The best of ``attempts`` random colorings of H with ``colors`` colors,
+    as (classes by index set in ``_index_sets`` order, S_eps, balance).
 
-    ``budget`` sizes the forest separator (defaults to |f|); the best of
-    ``attempts`` random colorings under the score min(|A∩f|, |B∩f|) wins.
+    ``budget`` sizes the forest separator (defaults to |f|); the score is the
+    smallest |S_i ∩ f| over the singleton classes.
     """
     fset = frozenset(f)
     forest = minus(g, fset)
@@ -195,39 +194,61 @@ def two_way_separation(
            for v in forest.vertices()}
     s_eps = forest_balanced_separator(forest, wts, beta)
     h = build_constraint_bipartite(g, fset, s_eps)
+    index_sets = _index_sets(colors)
 
-    best: Optional[Separation] = None
+    best: Optional[Tuple[Dict[FrozenSet[int], FrozenSet[int]], int]] = None
     for _ in range(max(1, attempts)):
-        color = {node: rng.randrange(2) for node in h.right}
-        a: Set[int] = set()
-        b: Set[int] = set()
-        s: Set[int] = set(s_eps)
+        color = {node: rng.randrange(colors) + 1 for node in h.right}
+        buckets: Dict[FrozenSet[int], Set[int]] = {ix: set() for ix in index_sets}
         for node in h.right:
             if node[0] == "c":
-                (a if color[node] == 0 else b).update(h.components[node])
+                buckets[frozenset({color[node]})].update(h.components[node])
         for v in h.left:
             seen = {color[node] for node in h.right if v in h.adj[node]}
             if not seen:
-                (a if rng.randrange(2) == 0 else b).add(v)
-            elif seen == {0}:
-                a.add(v)
-            elif seen == {1}:
-                b.add(v)
-            else:
-                s.add(v)
-        cand = Separation(
-            frozenset(a), frozenset(b), frozenset(s), s_eps,
-            min(len(a & fset), len(b & fset)),
-        )
-        check_separation(g, cand)
-        if best is None or cand.balance > best.balance:
-            best = cand
+                seen = {rng.randrange(colors) + 1}
+            buckets[frozenset(seen)].add(v)
+        buckets[index_sets[-1]].update(s_eps)
+        classes = {ix: frozenset(buckets[ix]) for ix in index_sets}
+        _check_classes(g, classes)
+        balance = min(len(classes[ix] & fset) for ix in index_sets[:colors])
+        if best is None or balance > best[1]:
+            best = (classes, balance)
     assert best is not None
-    return best
+    return best[0], s_eps, best[1]
 
 
-# ----------------------------------------------------------------------
-# three-way separation
+@dataclasses.dataclass(frozen=True)
+class Separation:
+    """Two-color separation: sides A = S_1 and B = S_2, separator S = S_12."""
+
+    a: FrozenSet[int]
+    b: FrozenSet[int]
+    s: FrozenSet[int]
+    s_eps: FrozenSet[int] = frozenset()
+    balance: int = 0  # min(|a ∩ f|, |b ∩ f|) of the kept coloring
+
+    def by_index(self) -> Dict[FrozenSet[int], FrozenSet[int]]:
+        return dict(zip(_index_sets(2), (self.a, self.b, self.s)))
+
+
+def check_separation(g: MultiGraph, sep: Separation) -> None:
+    """Raise unless (a, b, s) partitions V(g) with no a-b edge."""
+    _check_classes(g, sep.by_index())
+
+
+def two_way_separation(
+    g: MultiGraph,
+    f: Iterable[int],
+    rng: random.Random,
+    attempts: int = 25,
+    budget: Optional[int] = None,
+) -> Separation:
+    """Separation (A, B, S) of g with no A-B edge, f split across all three:
+    the best of ``attempts`` two-colorings, scored by min(|A∩f|, |B∩f|).
+    ``budget`` sizes the forest separator (defaults to |f|)."""
+    classes, s_eps, balance = _colored_separation(g, f, rng, 2, attempts, budget)
+    return Separation(*classes.values(), s_eps, balance)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -246,44 +267,12 @@ class ThreeWaySeparation:
     balance: int = 0
 
     def by_index(self) -> Dict[FrozenSet[int], FrozenSet[int]]:
-        return {
-            frozenset({1}): self.s1,
-            frozenset({2}): self.s2,
-            frozenset({3}): self.s3,
-            frozenset({1, 2}): self.s12,
-            frozenset({1, 3}): self.s13,
-            frozenset({2, 3}): self.s23,
-            frozenset({1, 2, 3}): self.s123,
-        }
-
-    def absorb(self, v: int) -> "ThreeWaySeparation":
-        drop = lambda cls: cls - {v}
-        return ThreeWaySeparation(
-            drop(self.s1), drop(self.s2), drop(self.s3),
-            drop(self.s12), drop(self.s13), drop(self.s23),
-            self.s123 | {v}, self.s_eps, self.balance,
-        )
+        return dict(zip(_index_sets(3), (self.s1, self.s2, self.s3,
+                                          self.s12, self.s13, self.s23, self.s123)))
 
 
 def check_three_way(g: MultiGraph, sep: ThreeWaySeparation) -> None:
-    classes = sep.by_index()
-    union: Set[int] = set()
-    count = 0
-    for verts in classes.values():
-        union |= verts
-        count += len(verts)
-    if union != set(g.vertex_set()) or count != g.n:
-        raise ValueError("three-way classes do not partition the vertex set")
-    owner: Dict[int, FrozenSet[int]] = {}
-    for idx, verts in classes.items():
-        for v in verts:
-            owner[v] = idx
-    for u, v, _ in g.edges():
-        if not (owner[u] & owner[v]):
-            raise ValueError(
-                f"edge {u}-{v} joins classes with disjoint index sets "
-                f"{sorted(owner[u])} / {sorted(owner[v])}"
-            )
+    _check_classes(g, sep.by_index())
 
 
 def three_way_separation(
@@ -293,47 +282,9 @@ def three_way_separation(
     attempts: int = 25,
     budget: Optional[int] = None,
 ) -> ThreeWaySeparation:
-    """Three-way analogue: right vertices of H get one of three colors, an
-    f-vertex lands in the class indexed by exactly the colors it sees, and
-    forest components join the singleton class of their own color."""
-    fset = frozenset(f)
-    forest = minus(g, fset)
-    if not is_forest(forest):
-        raise ValueError("f is not a feedback vertex set of g")
-    beta = _beta_for_budget(budget if budget is not None else max(1, len(fset)))
-    wts = {v: sum(g.multiplicity(v, u) for u in g.neighbors(v) if u in fset)
-           for v in forest.vertices()}
-    s_eps = forest_balanced_separator(forest, wts, beta)
-    h = build_constraint_bipartite(g, fset, s_eps)
-
-    best: Optional[ThreeWaySeparation] = None
-    for _ in range(max(1, attempts)):
-        color = {node: rng.randrange(3) for node in h.right}
-        buckets: Dict[FrozenSet[int], Set[int]] = {
-            frozenset(ix): set()
-            for ix in ({1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3})
-        }
-        for node in h.right:
-            if node[0] == "c":
-                buckets[frozenset({color[node] + 1})].update(h.components[node])
-        for v in h.left:
-            seen = {color[node] + 1 for node in h.right if v in h.adj[node]}
-            if not seen:
-                seen = {rng.randrange(3) + 1}
-            buckets[frozenset(seen)].add(v)
-        buckets[frozenset({1, 2, 3})].update(s_eps)
-        singles = [len(buckets[frozenset({i})] & fset) for i in (1, 2, 3)]
-        cand = ThreeWaySeparation(
-            *(frozenset(buckets[frozenset(ix)])
-              for ix in ({1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3})),
-            s_eps,
-            min(singles),
-        )
-        check_three_way(g, cand)
-        if best is None or cand.balance > best.balance:
-            best = cand
-    assert best is not None
-    return best
+    """Three-way analogue of two_way_separation with three colors."""
+    classes, s_eps, balance = _colored_separation(g, f, rng, 3, attempts, budget)
+    return ThreeWaySeparation(*classes.values(), s_eps, balance)
 
 
 # ----------------------------------------------------------------------

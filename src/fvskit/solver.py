@@ -314,18 +314,12 @@ def solve(g: MultiGraph, k: int, config: Optional[SolverConfig] = None) -> Solve
     stats: Counter = Counter(decider_calls=0, decider_draws=0, decider_accepts=0)
     kernel = reduce_exhaustive(g, k)
 
-    found: Optional[FrozenSet[int]] = None
-    used = budget
     parallel = config.jobs > 1 and budget >= 2 * config.jobs
     # in parallel, trial 0 runs here and fills the memo the workers start from
     memo: Dict = {}
-    runner = _make_ic_runner(config, seed_base, memo, stats)
-    for idx in range(1 if parallel else budget):
-        rng = random.Random(_mix(seed_base, idx))
-        res = fvs_trial(g, k, config, rng, ic_runner=runner, stats=stats, kernel=kernel)
-        if res is not None:
-            found, used = res, idx + 1
-            break
+    idx, found, own_stats = _run_trial_range(
+        (g, k, config, seed_base, kernel, memo, 0, 1 if parallel else budget))
+    stats.update(own_stats)
     if found is None and parallel:
         chunk = max(1, min(128, math.ceil((budget - 1) / (config.jobs * 4))))
         payloads = [(g, k, config, seed_base, kernel, memo, s, min(s + chunk, budget))
@@ -333,10 +327,9 @@ def solve(g: MultiGraph, k: int, config: Optional[SolverConfig] = None) -> Solve
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = [pool.submit(_run_trial_range, p) for p in payloads]
             for fut in futures:
-                idx, res, wstats = fut.result()
+                idx, found, wstats = fut.result()
                 stats.update(wstats)
-                if res is not None:
-                    found, used = res, idx + 1
+                if found is not None:
                     for other in futures:
                         other.cancel()
                     break
@@ -344,5 +337,5 @@ def solve(g: MultiGraph, k: int, config: Optional[SolverConfig] = None) -> Solve
     if found is not None:
         if len(found) > k or not is_forest(minus(g, found)):
             raise RuntimeError("internal error: produced an invalid solution")
-        return SolveResult("fvs", found, used, budget, dict(stats))
+        return SolveResult("fvs", found, idx + 1, budget, dict(stats))
     return SolveResult("infeasible", None, budget, budget, dict(stats))

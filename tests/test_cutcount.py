@@ -17,7 +17,6 @@ from fvskit.cutcount import (
     count_simple_separation,
     count_three_way,
     draw_weights,
-    forest_dp,
     forest_dp_table,
     reconstruct_witness,
 )
@@ -30,7 +29,8 @@ from fvskit.oracle import (
     brute_min_fvs,
     triangle_weighted_sum,
 )
-from fvskit.separators import Separation, three_way_separation, two_way_separation
+from fvskit.separators import (Separation, ThreeWaySeparation, three_way_separation,
+                               two_way_separation)
 
 from conftest import mg, random_multigraph
 
@@ -102,7 +102,7 @@ def test_forest_dp_single_key(rng):
     tbl = forest_dp_table(g, w, [0], [], [])
     exp = _ring_reduce(brute_cut_objects_trace(g, w.omega_prime, {0: 0}), 3)
     assert tbl == exp
-    assert forest_dp(g, w, [0], [], [], 1, 1, key_w) == exp.get((key_w, 1, 1), 0)
+    assert tbl.get((key_w, 1, 1), 0) == exp.get((key_w, 1, 1), 0)
 
 
 def test_forest_dp_rejects_non_forest_rest():
@@ -234,6 +234,22 @@ def test_three_way_forced_matches_pinned_oracle(rng):
         assert got == _ring_reduce(exp, g.n)
 
 
+_NO = frozenset()
+
+
+@pytest.mark.parametrize("decide, sep", [
+    (count_simple_separation, Separation(frozenset({0}), frozenset({1}), frozenset({2}))),
+    (count_three_way, ThreeWaySeparation(frozenset({0}), frozenset({1}), _NO, _NO, _NO, _NO,
+                                         frozenset({2}))),
+    (count_three_way, ThreeWaySeparation(_NO, _NO, frozenset({1}), frozenset({0}), _NO, _NO,
+                                         frozenset({2}))),
+])
+def test_deciders_reject_an_edge_between_disjoint_classes(decide, sep):
+    g = mg(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        decide(g, frozenset(), 1, 99.0, sep, random.Random(0))
+
+
 def test_deciders_agree_on_decisions(rng):
     for _ in range(40):
         g = random_multigraph(rng, n_max=7)
@@ -254,8 +270,8 @@ def test_deciders_agree_on_decisions(rng):
 # ------------------------------------------------- caps and the mirror
 
 _BUILDERS = (
-    (two_way_separation, cutcount._TwoWayLayout, "count_tables_two_way"),
-    (three_way_separation, cutcount._ThreeWayLayout, "count_tables_three_way"),
+    (two_way_separation, cutcount._Layout, "count_tables_two_way"),
+    (three_way_separation, cutcount._Layout, "count_tables_three_way"),
 )
 
 
@@ -277,7 +293,7 @@ def test_capped_tables_are_the_uncapped_tables_cut_to_the_caps(rng, sep_fn, layo
         if not f:
             continue
         checked += 1
-        layout = layout_cls(g, f, sep_fn(g, f, rng))
+        layout = layout_cls(g, f, sep_fn(g, f, rng).by_index())
         w = draw_weights(g, rng)
         two_m = sum(layout.degs.values())
         pins = frozenset(v for v in g.vertices() if rng.random() < 0.25)
@@ -360,7 +376,7 @@ def test_each_side_table_is_built_once_per_canonical_labelling(monkeypatch, sep_
                                                                 layout_cls, builder):
     g = random_gnm(11, 20, random.Random(3), allow_loops=False, allow_multi=False)
     _, f = brute_min_fvs(g)
-    layout = layout_cls(g, f, sep_fn(g, f, random.Random(3)))
+    layout = layout_cls(g, f, sep_fn(g, f, random.Random(3)).by_index())
     reads = [_side_reads(side) for side in layout.sides]
     built = []
     real = cutcount._side_table

@@ -8,6 +8,8 @@ import pytest
 from fvskit.multigraph import MultiGraph, connected_components, induced, is_forest, minus
 from fvskit.oracle import brute_min_fvs
 from fvskit.separators import (
+    Separation,
+    ThreeWaySeparation,
     build_constraint_bipartite,
     check_separation,
     check_three_way,
@@ -113,7 +115,6 @@ def test_two_way_separation_properties():
 
 def test_two_way_separation_crossing_check_fires():
     g = mg(2, [(0, 1)])
-    from fvskit.separators import Separation
     bad = Separation(a=frozenset({0}), b=frozenset({1}), s=frozenset(),
                      s_eps=frozenset(), balance=0)
     with pytest.raises(ValueError):
@@ -130,6 +131,58 @@ def test_three_way_separation_properties():
         classes = sep.by_index()
         all_verts = frozenset().union(*classes.values()) if classes else frozenset()
         assert all_verts == g.vertex_set()
+
+
+def _three_way(**classes):
+    empty = dict.fromkeys(("s1", "s2", "s3", "s12", "s13", "s23", "s123"), frozenset())
+    return ThreeWaySeparation(**{**empty, **{k: frozenset(v) for k, v in classes.items()}})
+
+
+@pytest.mark.parametrize("bad", [
+    _three_way(s1={0}, s2={1}, s123={2}),     # S_1 - S_2
+    _three_way(s12={0}, s3={1}, s123={2}),    # S_12 - S_3
+    _three_way(s1={0}, s2={1}),               # vertex 2 in no class
+    _three_way(s1={0, 2}, s12={0}, s2={1}),   # vertex 0 in two classes
+])
+def test_three_way_check_fires(bad):
+    g = mg(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        check_three_way(g, bad)
+
+
+# one fixed graph and seed: the classes each separation returned, and the
+# next draw of the shared rng, pin the coloring stream
+_GOLDEN_EDGES = [(0, 4), (0, 6), (0, 10), (1, 3), (1, 4), (1, 8), (1, 9), (1, 11), (1, 12),
+                 (1, 13), (2, 9), (3, 6), (4, 5), (4, 6), (4, 9), (5, 8), (5, 12), (6, 11),
+                 (6, 13), (7, 8), (8, 12), (12, 13)]
+_GOLDEN = [
+    # (a, b, s, s_eps), balance
+    ([[2, 5, 7, 8, 9, 12], [0, 3, 6, 10, 11], [1, 4, 13], [4, 13]], 1),
+    # (s1, s2, s3, s12, s13, s23, s123, s_eps), balance
+    ([[3, 5, 6, 7, 8, 11, 12], [2, 9], [10], [1], [0], [], [4, 13], [4, 13]], 0),
+    ([[0, 2, 3, 4, 5, 7, 8, 9, 10, 12, 13], [11], [1, 6], [6]], 0),
+    ([[7, 8, 12, 13], [2, 3, 4, 9], [10, 11], [5], [], [0], [1, 6], [6]], 0),
+]
+
+
+def test_separations_keep_their_seeded_stream():
+    g = mg(14, _GOLDEN_EDGES)
+    rng = random.Random(52)
+    got = []
+    for budget in (None, 2):
+        a = two_way_separation(g, {0, 1, 5}, rng, budget=budget)
+        got.append(([sorted(c) for c in (a.a, a.b, a.s, a.s_eps)], a.balance))
+        b = three_way_separation(g, {0, 1, 5}, rng, budget=budget)
+        got.append(([sorted(c) for c in (b.s1, b.s2, b.s3, b.s12, b.s13, b.s23, b.s123,
+                                         b.s_eps)], b.balance))
+    assert got == _GOLDEN
+    assert rng.getrandbits(32) == 3640473595
+
+
+def test_by_index_names_the_two_way_classes():
+    sep = Separation(frozenset({0}), frozenset({1}), frozenset({2}))
+    assert sep.by_index() == {frozenset({1}): sep.a, frozenset({2}): sep.b,
+                              frozenset({1, 2}): sep.s}
 
 
 def test_separation_balance_on_planted_split():
