@@ -400,7 +400,8 @@ def forest_dp_table(
     """Per-key totals of partitions extending the given labels, keyed by
     (W, s, m') and reduced modulo 2^(n+1).
 
-    The unlabelled remainder must induce a forest; otherwise ValueError.
+    The unlabelled remainder must induce a forest; otherwise ValueError
+    (from ``rooted_forest``).
     """
     f_set, l_set, r_set = frozenset(f_part), frozenset(l_part), frozenset(r_part)
     trace = f_set | l_set | r_set
@@ -410,8 +411,6 @@ def forest_dp_table(
         if not g.has_vertex(v):
             raise KeyError(f"vertex {v} not in graph")
     forest_verts = [v for v in g.vertices() if v not in trace]
-    if not is_forest(induced(g, forest_verts)):
-        raise ValueError("g minus the trace is not a forest")
     n = g.n
     mask = (1 << (n + 1)) - 1
     degs = {v: g.degree(v) for v in g.vertices()}
@@ -421,17 +420,12 @@ def forest_dp_table(
     labels.update({v: L_LBL for v in l_set})
     labels.update({v: R_LBL for v in r_set})
 
-    trace_edges = [(u, v, mult) for u, v, mult in g.edges() if u in trace and v in trace]
-    term = _trace_term(sorted(trace), trace_edges, labels, wts, degs, packer)
-    if term is None:
-        return {}
-    acc: Table = {term: 1}
-    for comp in _build_forest_side(g, forest_verts, set(trace)):
-        tbl = _component_table(comp, labels, wts, degs, packer, mask, frozenset())
-        acc = _conv(acc, tbl, packer, mask)
-        if not acc:
-            return {}
-    return _table_to_keys(acc, packer, n)
+    # one side with no f-vertices to enumerate: its term is the whole trace
+    side = _Side([], sorted(trace),
+                 [(u, v, mult) for u, v, mult in g.edges() if u in trace and v in trace],
+                 _build_forest_side(g, forest_verts, set(trace)))
+    table = _side_table(0, side, labels, wts, degs, packer, mask, frozenset(), {})
+    return _table_to_keys(table, packer, n)
 
 
 # ----------------------------------------------------------------------
@@ -786,24 +780,26 @@ def count_three_way(
 # witness extraction
 
 
+WITNESS_PASSES = 4  # sweeps over the vertices before giving up
+WITNESS_PROBE_DRAWS = 4  # weight draws per probe of one vertex
+
+
 def reconstruct_witness(
     decide: Callable[..., DeciderOutcome],
     g: MultiGraph,
     k: int,
     dbar: float,
     rng: random.Random,
-    *,
-    passes: int = 4,
-    probe_draws: int = 4,
 ) -> Optional[FrozenSet[int]]:
     """Self-reduction: grow a forced set vertex by vertex, keeping a vertex
     exactly when the decider still accepts with it pinned into F.
 
     ``decide(forced=..., draws=...)`` must run the underlying decider with
     the given vertices pinned.  A vertex in every surviving solution is kept
-    with probability >= 1 - 2^-probe_draws per pass; extra passes mop up
-    unlucky rejections.  The returned set is verified outright - forest
-    check, size, degree load - so the caller can trust it.
+    with probability >= 1 - 2^-WITNESS_PROBE_DRAWS per pass; up to
+    WITNESS_PASSES passes mop up unlucky rejections.  The returned set is
+    verified outright - forest check, size, degree load - so the caller can
+    trust it.
     """
     d_limit = math.floor(dbar * k)
 
@@ -817,13 +813,13 @@ def reconstruct_witness(
     if not decide(forced=frozenset(), draws=None).accepted:
         return None
     forced: Set[int] = set()
-    for _ in range(max(1, passes)):
+    for _ in range(WITNESS_PASSES):
         if valid(forced):
             return frozenset(forced)
         for v in g.vertices():
             if v in forced or len(forced) >= k:
                 continue
-            if decide(forced=frozenset(forced | {v}), draws=probe_draws).accepted:
+            if decide(forced=frozenset(forced | {v}), draws=WITNESS_PROBE_DRAWS).accepted:
                 forced.add(v)
                 if valid(forced):
                     return frozenset(forced)

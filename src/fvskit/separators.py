@@ -3,15 +3,17 @@ FVS-based tree decompositions.
 
 One coloring scheme serves both separations, with 2 or 3 colors: given a
 graph g and a feedback vertex set f, the forest g - f is split by a small
-balanced separator S_eps; the remaining forest components and the edges
-inside f become the right vertices of a constraint graph H, and each gets a
-random color.  Classes are indexed by non-empty sets of colors: a forest
-component joins the singleton class of its color, an f-vertex the class
-indexed by exactly the colors it sees (one random color if it sees none),
-and S_eps the all-colors class.  An edge therefore only ever joins classes
+balanced separator S_eps.  The right side of the constraint graph H is one
+list of f-vertex sets: first each component of g - f - S_eps (ordered by
+smallest vertex) with the f-vertices it touches, then each copy of an edge
+inside f with its endpoints (one for a loop).  Each entry gets a random
+color.  Classes are indexed by non-empty sets of colors: a forest component
+joins the singleton class of its color, an f-vertex the class indexed by
+exactly the colors of the entries it is in (one random color if none), and
+S_eps the all-colors class.  An edge therefore only ever joins classes
 whose index sets intersect; with two colors, S_1 and S_2 are the sides A and
 B and S_12 is the separator S.  Balance is a target, never a promise: the
-best of ``attempts`` colorings is kept and its score recorded, but validity
+best of ``ATTEMPTS`` colorings is kept and its score recorded, but validity
 alone is guaranteed.
 """
 from __future__ import annotations
@@ -20,7 +22,7 @@ import dataclasses
 import itertools
 import math
 import random
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .multigraph import MultiGraph, connected_components, induced, is_forest, minus, rooted_forest
 
@@ -43,11 +45,10 @@ def forest_balanced_separator(
     child subtrees are already light, so each peel removes more than
     total/beta weight and the separator stays within ``beta`` vertices.
     Comparisons use integers (subtree_weight * beta > total) throughout.
+    Raises ValueError when t has a cycle.
     """
     if beta < 1:
         raise ValueError("beta must be >= 1")
-    if not is_forest(t):
-        raise ValueError("forest_balanced_separator needs a forest")
     total = sum(weights[v] for v in t.vertices())
 
     order, parent = rooted_forest(t)  # preorder; reversed it is a postorder
@@ -94,60 +95,10 @@ def _beta_for_budget(budget: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# constraint graph over forest components and f-internal edges
-
-
-@dataclasses.dataclass(frozen=True)
-class ConstraintBipartite:
-    """Bipartite constraint graph H.
-
-    Left class: the f-vertices.  Right class: one vertex per forest
-    component of g - f - S_eps that touches f, plus one vertex per copy of
-    an edge inside f (its two endpoints are its neighborhood; a loop yields
-    a single neighbor).  ``adj`` maps each right vertex to the f-vertices
-    it constrains.  The right class never exceeds deg(f).
-    """
-
-    left: Tuple[int, ...]
-    right: Tuple[Tuple, ...]
-    adj: Dict[Tuple, FrozenSet[int]]
-    components: Dict[Tuple, Tuple[int, ...]]  # right comp-vertex -> its members
-
-
-def build_constraint_bipartite(
-    g: MultiGraph,
-    f: Iterable[int],
-    s_eps: Iterable[int],
-) -> ConstraintBipartite:
-    fset = frozenset(f)
-    eps = frozenset(s_eps)
-    if not is_forest(minus(g, fset)):
-        raise ValueError("f is not a feedback vertex set of g")
-    rest = [v for v in g.vertices() if v not in fset and v not in eps]
-    right: List[Tuple] = []
-    adj: Dict[Tuple, FrozenSet[int]] = {}
-    comps: Dict[Tuple, Tuple[int, ...]] = {}
-    for idx, comp in enumerate(connected_components(induced(g, rest))):
-        touched = set()
-        for v in comp:
-            for u in g.neighbors(v):
-                if u in fset:
-                    touched.add(u)
-        node = ("c", idx)
-        right.append(node)
-        adj[node] = frozenset(touched)
-        comps[node] = tuple(comp)
-    for u, v, mult in g.edges():
-        if u in fset and v in fset:
-            for j in range(mult):
-                node = ("e", u, v, j)
-                right.append(node)
-                adj[node] = frozenset({u, v})
-    return ConstraintBipartite(tuple(sorted(fset)), tuple(right), adj, comps)
-
-
-# ----------------------------------------------------------------------
 # colored separations
+
+
+ATTEMPTS = 25  # colorings drawn per separation; the best-balanced one is kept
 
 
 def _index_sets(colors: int) -> List[FrozenSet[int]]:
@@ -176,10 +127,9 @@ def _colored_separation(
     f: Iterable[int],
     rng: random.Random,
     colors: int,
-    attempts: int,
     budget: Optional[int],
 ) -> Tuple[Dict[FrozenSet[int], FrozenSet[int]], FrozenSet[int], int]:
-    """The best of ``attempts`` random colorings of H with ``colors`` colors,
+    """The best of ``ATTEMPTS`` random colorings of H with ``colors`` colors,
     as (classes by index set in ``_index_sets`` order, S_eps, balance).
 
     ``budget`` sizes the forest separator (defaults to |f|); the score is the
@@ -193,21 +143,26 @@ def _colored_separation(
     wts = {v: sum(g.multiplicity(v, u) for u in g.neighbors(v) if u in fset)
            for v in forest.vertices()}
     s_eps = forest_balanced_separator(forest, wts, beta)
-    h = build_constraint_bipartite(g, fset, s_eps)
+    # H's right side as the f-vertices each right vertex constrains: the
+    # components of forest - S_eps, then one copy per edge inside f
+    comps = connected_components(induced(forest, [v for v in forest.vertices() if v not in s_eps]))
+    right = [{u for v in comp for u in g.neighbors(v) if u in fset} for comp in comps]
+    right += [{u, v} for u, v, mult in g.edges() if u in fset and v in fset for _ in range(mult)]
+    sees: Dict[int, List[int]] = {v: [] for v in sorted(fset)}
+    for j, ends in enumerate(right):
+        for v in ends:
+            sees[v].append(j)
     index_sets = _index_sets(colors)
 
     best: Optional[Tuple[Dict[FrozenSet[int], FrozenSet[int]], int]] = None
-    for _ in range(max(1, attempts)):
-        color = {node: rng.randrange(colors) + 1 for node in h.right}
+    for _ in range(ATTEMPTS):
+        color = [rng.randrange(colors) + 1 for _ in right]
         buckets: Dict[FrozenSet[int], Set[int]] = {ix: set() for ix in index_sets}
-        for node in h.right:
-            if node[0] == "c":
-                buckets[frozenset({color[node]})].update(h.components[node])
-        for v in h.left:
-            seen = {color[node] for node in h.right if v in h.adj[node]}
-            if not seen:
-                seen = {rng.randrange(colors) + 1}
-            buckets[frozenset(seen)].add(v)
+        for comp, c in zip(comps, color):
+            buckets[frozenset({c})].update(comp)
+        for v, js in sees.items():
+            seen = frozenset(color[j] for j in js) or frozenset({rng.randrange(colors) + 1})
+            buckets[seen].add(v)
         buckets[index_sets[-1]].update(s_eps)
         classes = {ix: frozenset(buckets[ix]) for ix in index_sets}
         _check_classes(g, classes)
@@ -241,13 +196,13 @@ def two_way_separation(
     g: MultiGraph,
     f: Iterable[int],
     rng: random.Random,
-    attempts: int = 25,
+    *,
     budget: Optional[int] = None,
 ) -> Separation:
     """Separation (A, B, S) of g with no A-B edge, f split across all three:
-    the best of ``attempts`` two-colorings, scored by min(|A∩f|, |B∩f|).
+    the best of ``ATTEMPTS`` two-colorings, scored by min(|A∩f|, |B∩f|).
     ``budget`` sizes the forest separator (defaults to |f|)."""
-    classes, s_eps, balance = _colored_separation(g, f, rng, 2, attempts, budget)
+    classes, s_eps, balance = _colored_separation(g, f, rng, 2, budget)
     return Separation(*classes.values(), s_eps, balance)
 
 
@@ -279,11 +234,11 @@ def three_way_separation(
     g: MultiGraph,
     f: Iterable[int],
     rng: random.Random,
-    attempts: int = 25,
+    *,
     budget: Optional[int] = None,
 ) -> ThreeWaySeparation:
     """Three-way analogue of two_way_separation with three colors."""
-    classes, s_eps, balance = _colored_separation(g, f, rng, 3, attempts, budget)
+    classes, s_eps, balance = _colored_separation(g, f, rng, 3, budget)
     return ThreeWaySeparation(*classes.values(), s_eps, balance)
 
 
@@ -389,7 +344,7 @@ def tree_decomposition_from_fvs(
     g: MultiGraph,
     f: Iterable[int],
     rng: random.Random,
-    attempts: int = 25,
+    *,
     budget: Optional[int] = None,
 ) -> TreeDecomposition:
     """Tree decomposition from a two-way separation.
@@ -400,7 +355,7 @@ def tree_decomposition_from_fvs(
     """
     fset = frozenset(f)
     k_eff = budget if budget is not None else max(1, len(fset))
-    sep = two_way_separation(g, fset, rng, attempts=attempts, budget=k_eff)
+    sep = two_way_separation(g, fset, rng, budget=k_eff)
     bags: List[FrozenSet[int]] = []
     edges: List[Tuple[int, int]] = []
     if g.n == 0:

@@ -67,7 +67,6 @@ class SolverConfig:
     variant: str = "simple"            # "simple" | "mm"
     epsilon: Optional[float] = None    # None -> variant default
     trials_factor: float = 8.0
-    attempts: int = 25                 # separation re-draws per compression
     seed: Optional[int] = None
     faithful_coin: bool = False        # coin-flip branch choice vs threshold
     ic_threshold: int = 8              # compress when k' <= threshold (coin off)
@@ -151,8 +150,7 @@ def iterative_compression(
             sep = three_way_separation(prefix, fat, rng, budget=k)
             decider = count_three_way
         else:
-            sep = two_way_separation(prefix, fat, rng,
-                                     attempts=config.attempts, budget=k)
+            sep = two_way_separation(prefix, fat, rng, budget=k)
             decider = count_simple_separation
 
         def decide(forced: FrozenSet[int] = frozenset(),
@@ -211,18 +209,20 @@ def fvs_trial(
     take_ic = heads and ic_allowed
 
     uniform_regime = h.n <= (3.0 - eps) * k2
+
+    def sample() -> Optional[int]:
+        # None only for degree-weighted sampling on a 3-regular graph
+        return sample_uniform(h, rng) if uniform_regime else sample_degree_weighted(h, rng)
+
     v: Optional[int] = None
     if not take_ic:
-        if uniform_regime:
-            v = sample_uniform(h, rng)
-        else:
-            v = sample_degree_weighted(h, rng)
-            if v is None:
-                # 3-regular graph: no degree mass to sample, compression is
-                # the only move regardless of the coin
-                if stats is not None:
-                    stats["forced_ic"] += 1
-                take_ic = True
+        v = sample()
+        if v is None:
+            # 3-regular graph: no degree mass to sample, compression is the
+            # only move regardless of the coin
+            if stats is not None:
+                stats["forced_ic"] += 1
+            take_ic = True
 
     if take_ic:
         res = run_ic()
@@ -233,12 +233,9 @@ def fvs_trial(
         # The caps make compression stricter than plain feasibility, so a
         # failed compression must not kill the trial: fall back to sampling
         # (and stop compressing below this point).
-        if uniform_regime:
-            v = sample_uniform(h, rng)
-        else:
-            v = sample_degree_weighted(h, rng)
-            if v is None:
-                return None  # 3-regular and unsampleable: nothing left to try
+        v = sample()
+        if v is None:
+            return None  # 3-regular and unsampleable: nothing left to try
         ic_allowed = False
 
     assert v is not None

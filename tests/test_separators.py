@@ -8,9 +8,9 @@ import pytest
 from fvskit.multigraph import MultiGraph, connected_components, induced, is_forest, minus
 from fvskit.oracle import brute_min_fvs
 from fvskit.separators import (
+    ATTEMPTS,
     Separation,
     ThreeWaySeparation,
-    build_constraint_bipartite,
     check_separation,
     check_three_way,
     decomposition_to_pace,
@@ -72,27 +72,52 @@ def test_balanced_separator_zero_weights():
 # ------------------------------------------------------- constraint network
 
 
-def test_constraint_bipartite_shape():
-    # triangle hub 0 over forest 1-2, 3
+class _CountingRandom(random.Random):
+    """A Random that counts its ``randrange`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randrange(self, *args, **kwargs):
+        self.draws += 1
+        return super().randrange(*args, **kwargs)
+
+
+@pytest.mark.parametrize("separation", [two_way_separation, three_way_separation])
+def test_one_draw_per_forest_component(separation):
+    # triangle hub 0 over the forest components {1, 2} and {3}; the doubled
+    # 0-3 edge joins f to the forest, so it is not an edge inside f
     g = mg(4, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 3)])
-    h = build_constraint_bipartite(g, f={0}, s_eps=frozenset())
-    comp_nodes = [x for x in h.right if x[0] == "c"]
-    sub_nodes = [x for x in h.right if x[0] == "e"]
-    assert len(comp_nodes) == 2
-    # the doubled 0-3 edge is f-to-forest, not f-internal: no subdivision nodes
-    assert not sub_nodes
-    assert h.left == (0,)
-    # both forest components touch the hub
-    assert all(h.adj[node] == frozenset({0}) for node in comp_nodes)
-    assert sorted(sum((h.components[node] for node in comp_nodes), ())) == [1, 2, 3]
+    rng = _CountingRandom(5)
+    separation(g, {0}, rng)
+    assert rng.draws == 2 * ATTEMPTS
 
 
-def test_constraint_bipartite_subdivides_f_internal_edges():
+@pytest.mark.parametrize("separation", [two_way_separation, three_way_separation])
+def test_one_draw_per_copy_of_an_edge_inside_f(separation):
+    # two copies of 0-1, the loop at 2, and 0-2; every f-vertex sees a color
     g = mg(3, [(0, 1), (0, 1), (2, 2), (0, 2)])
-    h = build_constraint_bipartite(g, f={0, 1, 2}, s_eps=frozenset())
-    sub = sorted(x for x in h.right if x[0] == "e")
-    # two copies of 0-1, the loop at 2, and 0-2
-    assert len(sub) == 4
+    rng = _CountingRandom(5)
+    separation(g, {0, 1, 2}, rng)
+    assert rng.draws == 4 * ATTEMPTS
+
+
+@pytest.mark.parametrize("separation", [two_way_separation, three_way_separation])
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2), (2, 3), (3, 1)],   # a cycle 1-2-3
+    [(0, 1), (2, 2)],                   # a loop at 2
+    [(0, 1), (2, 3), (2, 3)],           # a parallel pair 2-3
+])
+def test_separation_rejects_f_that_leaves_a_cycle(separation, edges):
+    with pytest.raises(ValueError):
+        separation(mg(4, edges), {0}, random.Random(0))
+
+
+def test_budget_is_keyword_only():
+    g = mg(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(TypeError):
+        two_way_separation(g, {0}, random.Random(0), 25)
 
 
 def test_two_way_separation_properties():
