@@ -8,7 +8,7 @@ Instance text format, 1-indexed:
 
 Exit codes: 0 the question was answered (including INFEASIBLE and INVALID),
 2 bad usage or unreadable input, 3 the requested k is above the exact-solve
-ceiling.
+ceiling, or an mm solve's kernel has more than 62 vertices.
 """
 from __future__ import annotations
 

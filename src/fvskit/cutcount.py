@@ -26,9 +26,15 @@ and every vertex of the graph is accounted by exactly one stage (separator
 assignment, one side's trace enumeration, or one anchored forest table), and
 the stages couple only through the labels of the enumerated vertices.
 
+One builder, ``count_tables``, serves both deciders; only its combine step
+depends on the number of colors.  Two sides convolve dicts of Python ints, so
+the two-way decider takes any n.  Three sides contract int64 stacks by two
+``tensordot`` calls, exact modulo 2^(n+1), which divides 2^64, while the
+counts fit: n <= MAX_THREE_WAY_N.
+
 Swapping L and R maps a partition to its mirror, which has the same key, so
-every table is unchanged by the swap.  The builders use this twice.  They
-enumerate only canonical labellings of the separator (two-way S, three-way
+every table is unchanged by the swap.  The builder uses this twice.  It
+enumerates only canonical labellings of the separator (two-way S, three-way
 S_123): those whose first non-F label is L.  Each counts with weight 2 for
 itself and its mirror, and the all-F labelling, its own mirror, with weight
 1.  The side and component memos are keyed on the canonical form of the
@@ -57,6 +63,9 @@ from .separators import Separation, ThreeWaySeparation
 
 F_LBL, L_LBL, R_LBL = 0, 1, 2
 _LABELS = (F_LBL, L_LBL, R_LBL)
+
+# the largest n whose three-way counts, all below 2^(n+1), fit int64
+MAX_THREE_WAY_N = 62
 
 
 @dataclasses.dataclass(frozen=True)
@@ -348,7 +357,7 @@ def _side_table(
             continue
         acc: Table = {term: 1}
         for ci, comp in enumerate(side.comps):
-            ck = (idx, ci, _canon(tuple(labels[t] for t in comp.iface)))
+            ck = (idx, ci, _canon(tuple([labels[t] for t in comp.iface])))
             tbl = comp_memo.get(ck)
             if tbl is None:
                 tbl = _component_table(comp, labels, wts, degs, packer, mask, forced)
@@ -375,7 +384,7 @@ def _side_tables(
     memos: List[Dict[Tuple[int, ...], Table]] = [{} for _ in layout.sides]
 
     def side_table(idx: int) -> Table:
-        memo_key = _canon(tuple(labels[t] for t in layout.rels[idx]))
+        memo_key = _canon(tuple([labels[t] for t in layout.rels[idx]]))
         tbl = memos[idx].get(memo_key)
         if tbl is None:
             tbl = _side_table(idx, layout.sides[idx], labels, wts, layout.degs, packer, mask,
@@ -500,10 +509,37 @@ class _Layout:
 
 
 # ----------------------------------------------------------------------
-# two-way decider
+# the table builder
 
 
-def count_tables_two_way(
+def _triangle(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
+    """(a, b, c) -> sum over x, y, z of a1[a, x, y] * a2[b, x, z] * a3[c, y, z],
+    by two tensordot calls; int64 wraparound keeps it exact modulo 2^64."""
+    return np.tensordot(np.tensordot(a1, a2, axes=(1, 1)), a3, axes=((1, 3), (1, 2)))
+
+
+def _contract(per_side: List[Dict[Tuple[int, ...], Table]],
+              shapes: List[Tuple[int, ...]]) -> List[Tuple[int, int]]:
+    """(key, count) of every nonzero triangle-weighted sum of three sides.
+    Each side's tables stack into one int64 (key, pair, pair) array over the
+    sorted union of their keys."""
+    stacks = []
+    for tables, shape in zip(per_side, shapes):
+        keys = sorted({key for t in tables.values() for key in t})
+        index = {key: j for j, key in enumerate(keys)}
+        stack = np.zeros((len(keys),) + shape, dtype=np.int64)
+        for at, t in tables.items():
+            for key, cnt in t.items():
+                stack[(index[key],) + at] = cnt
+        stacks.append((keys, stack))
+    (keys1, a1), (keys2, a2), (keys3, a3) = stacks
+    tri = _triangle(a1, a2, a3)
+    nz = np.nonzero(tri)
+    return [(keys1[a] + keys2[b] + keys3[c], cnt)
+            for a, b, c, cnt in zip(*(ix.tolist() for ix in nz), tri[nz].tolist())]
+
+
+def count_tables(
     layout: _Layout,
     wts: IsolationWeights,
     *,
@@ -512,12 +548,14 @@ def count_tables_two_way(
     e_cap: int,
     forced: FrozenSet[int] = frozenset(),
 ) -> Tuple[Table, _Packer]:
-    """One full per-key table for a fixed weight draw.
+    """One full per-key table for a fixed weight draw, at two or three colors.
 
-    Stage structure: enumerate canonical separator labels; per side,
-    enumerate that side's f-vertices and extend by the anchored tables of the
-    side's forest components; combine the two side tables under the
-    separator term, weighted for the labelling's mirror.
+    For each canonical labelling of the global class, weighted for its
+    mirror, each side yields one table per labelling of its pairwise classes
+    (at two colors there are none, so each side has one table, under ``()``).
+    Two sides then convolve their tables; three sides contract theirs in
+    ``_contract``.  Counts accumulate unreduced and are reduced modulo
+    2^(n+1) once, at the end.
     """
     lay = layout
     n = lay.n
@@ -526,115 +564,54 @@ def count_tables_two_way(
                      d_cap=d_cap, c_cap=c_cap, e_cap=e_cap)
     labels: Dict[int, int] = {}
     side_table = _side_tables(lay, labels, wts, packer, mask, forced)
+    # fixed for the draw: each pairwise class's labellings as (vertex, label)
+    # pairs, and per side their combinations, under the index tuple stacked at
+    pair_settings = {ix: [list(zip(order, a)) for a in _assignments(order, forced)]
+                     for ix, order in lay.pair_orders.items()}
+    shapes = [tuple(len(pair_settings[ix]) for ix in pairs) for pairs in lay.side_pairs]
+    side_combos = [[(at, [vl for ix, j in zip(pairs, at) for vl in pair_settings[ix][j]])
+                    for at in itertools.product(*map(range, shape))]
+                   for pairs, shape in zip(lay.side_pairs, shapes)]
 
     out: Table = {}
+    get = out.get
     bias, guard = packer.bias, packer.guard
     for sigma, weight in _canonical_assignments(lay.global_order, forced):
         for v, lab in zip(lay.global_order, sigma):
             labels[v] = lab
-        term_s = _trace_term(lay.global_order, lay.global_edges, labels, wts, lay.degs, packer)
-        if term_s is None:
+        term = _trace_term(lay.global_order, lay.global_edges, labels, wts, lay.degs, packer)
+        if term is None:
             continue
-        ta = side_table(0)
-        if not ta:
-            continue
-        tb = side_table(1)
-        if not tb:
-            continue
-        for pa, ca in ta.items():
-            base = term_s + pa
-            ca *= weight
-            for pb, cb in tb.items():
-                key = base + pb
-                if not ((key + bias) & guard):
-                    nv = (out.get(key, 0) + ca * cb) & mask
-                    if nv:
-                        out[key] = nv
-                    elif key in out:
-                        del out[key]
-    return out, packer
-
-
-# ----------------------------------------------------------------------
-# three-way decider
-
-
-def count_tables_three_way(
-    layout: _Layout,
-    wts: IsolationWeights,
-    *,
-    c_cap: int,
-    d_cap: int,
-    e_cap: int,
-    forced: FrozenSet[int] = frozenset(),
-) -> Tuple[Table, _Packer]:
-    """Per-key table via the tripartite contraction.
-
-    For each canonical labelling of the global class (weighted for its
-    mirror), each side yields a table per assignment pair of its two
-    adjacent pairwise classes; stacking those as matrices over
-    (pair assignment x pair assignment) per key turns the sum
-    over the three pairwise classes into triangle-weighted sums, evaluated
-    batched over all key splits in one einsum.
-    """
-    lay = layout
-    n = lay.n
-    mask = (1 << (n + 1)) - 1
-    packer = _Packer(i_cap=2 * n * min(c_cap, n) if n else 0,
-                     d_cap=d_cap, c_cap=c_cap, e_cap=e_cap)
-    labels: Dict[int, int] = {}
-    side_table = _side_tables(lay, labels, wts, packer, mask, forced)
-    pair_assign = {name: list(_assignments(order, forced))
-                   for name, order in lay.pair_orders.items()}
-
-    out: Table = {}
-    bias, guard = packer.bias, packer.guard
-    for sigma, weight in _canonical_assignments(lay.global_order, forced):
-        for v, lab in zip(lay.global_order, sigma):
-            labels[v] = lab
-        term_g = _trace_term(lay.global_order, lay.global_edges, labels, wts, lay.degs, packer)
-        if term_g is None:
-            continue
-
-        # per side, its tables stacked into a (key, pair, pair) array
-        stacks: List[Tuple[List[int], np.ndarray]] = []
-        for i, (pa, pb) in enumerate(lay.side_pairs):
-            tables: Dict[Tuple[int, int], Table] = {}
-            for ia, assign_a in enumerate(pair_assign[pa]):
-                for v, lab in zip(lay.pair_orders[pa], assign_a):
+        per_side: List[Dict[Tuple[int, ...], Table]] = []
+        for i, combos in enumerate(side_combos):
+            tables: Dict[Tuple[int, ...], Table] = {}
+            for at, setting in combos:
+                for v, lab in setting:
                     labels[v] = lab
-                for ib, assign_b in enumerate(pair_assign[pb]):
-                    for v, lab in zip(lay.pair_orders[pb], assign_b):
-                        labels[v] = lab
-                    side_tbl = side_table(i)
-                    if side_tbl:
-                        tables[(ia, ib)] = side_tbl
+                tbl = side_table(i)
+                if tbl:
+                    tables[at] = tbl
             if not tables:
                 break
-            keys = sorted({key for t in tables.values() for key in t})
-            index = {key: j for j, key in enumerate(keys)}
-            stack = np.zeros((len(keys), len(pair_assign[pa]), len(pair_assign[pb])),
-                             dtype=np.int64)
-            for (ia, ib), t in tables.items():
-                for key, cnt in t.items():
-                    stack[index[key], ia, ib] = cnt
-            stacks.append((keys, stack))
-        if len(stacks) < 3:
-            continue
+            per_side.append(tables)
+        else:
+            if len(per_side) == 2:
+                outer, inner = per_side[0][()].items(), per_side[1][()].items()
+            else:
+                # the contraction combined all three sides: convolve with the unit
+                outer, inner = _contract(per_side, shapes), ((0, 1),)
+            for base, ca in outer:
+                base += term
+                ca *= weight
+                for pb, cb in inner:
+                    key = base + pb
+                    if not ((key + bias) & guard):
+                        out[key] = get(key, 0) + ca * cb
+    return {key: cnt & mask for key, cnt in out.items() if cnt & mask}, packer
 
-        # batched triangle-weighted sums: one (x, y, z) contraction per key split
-        (keys1, a1), (keys2, a2), (keys3, a3) = stacks
-        tri = np.einsum("axy,bxz,cyz->abc", a1, a2, a3, optimize=True)
-        nz = np.nonzero(tri)
-        for ak, bk, ck, cnt in zip(*(ix.tolist() for ix in nz), tri[nz].tolist()):
-            key = term_g + keys1[ak] + keys2[bk] + keys3[ck]
-            if not ((key + bias) & guard):
-                nv = (out.get(key, 0) + cnt * weight) & mask
-                if nv:
-                    out[key] = nv
-                elif key in out:
-                    del out[key]
-    return out, packer
+
+# perfbench's tracer wraps each name, which its decider resolves at call time
+count_tables_two_way = count_tables_three_way = count_tables
 
 
 # ----------------------------------------------------------------------
@@ -676,7 +653,7 @@ def _table_to_keys(table: Table, packer: _Packer, n: int) -> Dict[Tuple[int, int
 
 
 def _decide(
-    tables_name: str,
+    tables: Callable[..., Tuple[Table, _Packer]],
     g: MultiGraph,
     f: Iterable[int],
     k: int,
@@ -691,14 +668,11 @@ def _decide(
     stats: Optional[Counter],
 ):
     """The decision procedure both deciders share: guards, caps, the draw loop,
-    the counters and the accept scan around one table builder."""
+    the counters and the accept scan around the table builder ``tables``."""
     n = g.n
-    if n > 62:
-        raise ValueError("counting deciders support n <= 62")
     layout = _Layout(g, frozenset(f), sep.by_index())
-    # looked up at call time, so a wrapper put on the module attribute sees
-    # every table built
-    tables = globals()[tables_name]
+    if n > MAX_THREE_WAY_N and len(layout.sides) == 3:
+        raise ValueError(f"the three-way decider supports n <= {MAX_THREE_WAY_N}")
     forced_set = frozenset(forced)
     two_m = sum(layout.degs.values())
     if full_tables:
@@ -751,7 +725,7 @@ def count_simple_separation(
     ``weights``) it instead returns uncapped per-key totals for that single
     draw, the form the brute-force tally can be compared against.
     """
-    return _decide("count_tables_two_way", g, f, k, dbar, sep, rng,
+    return _decide(count_tables_two_way, g, f, k, dbar, sep, rng,
                    draws=draws, forced=forced, weights=weights,
                    full_tables=full_tables, stats=stats)
 
@@ -771,7 +745,7 @@ def count_three_way(
     stats: Optional[Counter] = None,
 ):
     """Three-way decider; same contract as count_simple_separation."""
-    return _decide("count_tables_three_way", g, f, k, dbar, sep, rng,
+    return _decide(count_tables_three_way, g, f, k, dbar, sep, rng,
                    draws=draws, forced=forced, weights=weights,
                    full_tables=full_tables, stats=stats)
 

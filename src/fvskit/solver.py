@@ -35,7 +35,8 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
-from .cutcount import count_simple_separation, count_three_way, reconstruct_witness
+from .cutcount import (MAX_THREE_WAY_N, count_simple_separation, count_three_way,
+                       reconstruct_witness)
 from .multigraph import MultiGraph, induced, is_forest, minus
 from .reductions import (
     ReductionOutcome,
@@ -49,7 +50,8 @@ DEFAULT_EPSILON = {"simple": 0.155433, "mm": 0.3000237}
 
 
 class BudgetExceeded(Exception):
-    """Raised when k is above the configured ceiling for exact solving."""
+    """Raised when k is above the configured ceiling for exact solving, or
+    when an mm solve's kernel has more than MAX_THREE_WAY_N vertices."""
 
 
 def dbar_for(epsilon: float) -> float:
@@ -297,8 +299,9 @@ def solve(g: MultiGraph, k: int, config: Optional[SolverConfig] = None) -> Solve
     """Budgeted exact decision-plus-witness.
 
     Returns status "fvs" with a verified solution, or "infeasible" after the
-    full trial budget came up empty.  Raises BudgetExceeded when k is above
-    config.max_k.
+    full trial budget came up empty.  Raises BudgetExceeded, before any
+    trial, when k is above config.max_k or when the variant is mm and the
+    feasible kernel has more than MAX_THREE_WAY_N vertices.
     """
     config = config or SolverConfig()
     if k < 0:
@@ -310,6 +313,9 @@ def solve(g: MultiGraph, k: int, config: Optional[SolverConfig] = None) -> Solve
     # the decider counters are reported even when no decider ran
     stats: Counter = Counter(decider_calls=0, decider_draws=0, decider_accepts=0)
     kernel = reduce_exhaustive(g, k)
+    if config.variant == "mm" and not kernel.infeasible and kernel.graph.n > MAX_THREE_WAY_N:
+        raise BudgetExceeded(f"mm kernel has {kernel.graph.n} vertices, above the "
+                             f"{MAX_THREE_WAY_N} its int64 tables support")
 
     parallel = config.jobs > 1 and budget >= 2 * config.jobs
     # in parallel, trial 0 runs here and fills the memo the workers start from

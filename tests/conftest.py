@@ -29,6 +29,15 @@ def mg(n: int, edges) -> MultiGraph:
     return MultiGraph.from_edges(range(n), edges)
 
 
+def hubs_over_path(path_len: int) -> MultiGraph:
+    """A path on 0..path_len-1 plus two hubs joined to every path vertex.
+    Every vertex keeps degree >= 3, so the kernel is the whole graph, and
+    the two hubs are its minimum FVS."""
+    hubs = (path_len, path_len + 1)
+    return mg(path_len + 2, [(i, i + 1) for i in range(path_len - 1)]
+              + [(h, i) for h in hubs for i in range(path_len)])
+
+
 def random_multigraph(rng: random.Random, n_max: int = 9, m_max: int | None = None) -> MultiGraph:
     n = rng.randrange(1, n_max + 1)
     m = rng.randrange(0, (m_max if m_max is not None else 2 * n) + 1)

@@ -9,6 +9,8 @@ from fvskit.cli import InstanceFormatError, format_instance, main, parse_instanc
 from fvskit.generate import random_gnm
 from fvskit.multigraph import MultiGraph, is_forest, minus
 
+from conftest import hubs_over_path
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -82,6 +84,18 @@ def test_solve_command_k_cap(tmp_path, capsys):
     code, out, err = run_cli(capsys, "solve", str(inst), "-k", "30", "--seed", "1")
     assert code == 3
     assert "ceiling" in err
+
+
+def test_solve_command_mm_kernel_above_62_vertices(tmp_path, capsys):
+    inst = tmp_path / "hubs.txt"
+    inst.write_text(format_instance(hubs_over_path(62)))
+    code, out, err = run_cli(capsys, "solve", str(inst), "-k", "2", "--variant", "mm",
+                             "--seed", "1")
+    assert code == 3
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_solve_command_bad_instance(tmp_path, capsys):

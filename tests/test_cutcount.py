@@ -200,11 +200,15 @@ def test_rejects_f_that_is_not_an_fvs():
 
 
 def test_rejects_oversized_graphs():
+    # only the three-way tables are int64; the two-way tables have no cap
     g = mg(63, [])
     with pytest.raises(ValueError):
-        count_simple_separation(g, frozenset(), 1, 4.0,
-                                two_way_separation(g, frozenset(), random.Random(0)),
-                                random.Random(0))
+        count_three_way(g, frozenset(), 1, 4.0,
+                        three_way_separation(g, frozenset(), random.Random(0)),
+                        random.Random(0))
+    assert count_simple_separation(g, frozenset(), 1, 4.0,
+                                   two_way_separation(g, frozenset(), random.Random(0)),
+                                   random.Random(0)).accepted
 
 
 # ------------------------------------------------------ three-way decider
@@ -413,6 +417,23 @@ def test_triangle_weighted_sum_wraps_consistently():
     big = np.full((2, 2), (1 << 62) - 3, dtype=np.int64)
     h = TriPartiteWeightedGraph(big, big, big)
     assert triangle_weighted_sum(h, "matrix") == triangle_weighted_sum(h, "loops")
+
+
+def test_three_way_contraction_is_exact_modulo_2_63_when_products_wrap():
+    # entries near 2^62 make every int64 product wrap; the counts the
+    # decider reads live modulo 2^(n+1) <= 2^63, which divides 2^64
+    r = np.random.default_rng(11)
+    top = 1 << 62
+    for _ in range(20):
+        a, b, c, x, y, z = r.integers(1, 4, size=6).tolist()
+        a1, a2, a3 = (r.integers(top - (1 << 20), top, size=shape, dtype=np.int64)
+                      for shape in ((a, x, y), (b, x, z), (c, y, z)))
+        got = cutcount._triangle(a1, a2, a3)
+        assert got.shape == (a, b, c)
+        for i, j, l in itertools.product(range(a), range(b), range(c)):
+            exact = sum(int(a1[i, p, q]) * int(a2[j, p, s]) * int(a3[l, q, s])
+                        for p in range(x) for q in range(y) for s in range(z))
+            assert int(got[i, j, l]) % (1 << 63) == exact % (1 << 63)
 
 
 def test_triangle_weighted_sum_bad_method():

@@ -26,7 +26,7 @@ from fvskit.solver import (
     trial_budget,
 )
 
-from conftest import mg, random_multigraph
+from conftest import hubs_over_path, mg, random_multigraph
 
 PETERSEN = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
             (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
@@ -231,6 +231,18 @@ def test_parallel_solve_found_by_trial_zero_starts_no_pool(monkeypatch):
     g = mg(4, HEAVY_HUB)
     res = solve(g, 1, SolverConfig(seed=3, ic_threshold=24, jobs=2))
     assert res.status == "fvs" and res.trials == 1
+
+
+def test_simple_solve_above_62_vertices_reaches_the_decider():
+    # the two-way tables are Python ints, so simple has no size cap: at k = 1
+    # compression runs the decider on the whole 64-vertex kernel
+    g = hubs_over_path(62)
+    assert reduce_exhaustive(g, 1).graph.n == 64
+    res = solve(g, 1, SolverConfig(seed=1))
+    assert res.status == "infeasible"
+    assert res.stats["decider_calls"] >= 1
+    # no single vertex is an FVS: either hub keeps triangles on the path
+    assert not any(is_forest(minus(g, {v})) for v in g.vertices())
 
 
 def test_fvs_trial_budget_zero_on_cyclic_graph():
