@@ -6,8 +6,11 @@ weight of F, s = |F| and m' = |E[L u R]| with multiplicity.  Summed over
 the partitions extending a fixed F, the bucket total contributes 2^(#components
 of g - F); a component count of exactly n - s - m' characterizes forests, so
 a bucket is certified non-empty of forest solutions exactly when its total
-is nonzero modulo 2^(n - s - m' + 1).  All arithmetic therefore lives in the
-ring modulo 2^(n + 1), which contains every residue the accept test reads.
+is nonzero modulo 2^(n - s - m' + 1).  Every residue the accept test reads
+lives in the ring modulo 2^(n + 1), and nothing inside the builder reads one,
+so its tables hold plain non-negative counts.  A count is reduced into the
+ring only where it leaves them: at the return of ``count_tables``, in
+``_table_to_keys``, and where ``_contract`` stacks counts into int64.
 
 Isolation weights are drawn per attempt: omega uniform on 1..2n per vertex,
 scaled as omega' = n^2 * omega + deg so that the degree of a minimum-weight
@@ -30,7 +33,7 @@ One builder, ``count_tables``, serves both deciders; only its combine step
 depends on the number of colors.  Two sides convolve dicts of Python ints, so
 the two-way decider takes any n.  Three sides contract int64 stacks by two
 ``tensordot`` calls, exact modulo 2^(n+1), which divides 2^64, while the
-counts fit: n <= MAX_THREE_WAY_N.
+reduced counts fit: n <= MAX_THREE_WAY_N.
 
 Swapping L and R maps a partition to its mirror, which has the same key, so
 every table is unchanged by the swap.  The builder uses this twice.  It
@@ -137,7 +140,7 @@ class _Packer:
 Table = Dict[int, int]
 
 
-def _conv(ta: Table, tb: Table, packer: _Packer, mask: int) -> Table:
+def _conv(ta: Table, tb: Table, packer: _Packer) -> Table:
     if not ta or not tb:
         return {}
     if len(ta) < len(tb):
@@ -149,23 +152,16 @@ def _conv(ta: Table, tb: Table, packer: _Packer, mask: int) -> Table:
         for pa, ca in ta.items():
             key = pa + pb
             if not ((key + bias) & guard):
-                out[key] = (get(key, 0) + ca * cb) & mask
-    return {k: v for k, v in out.items() if v}
+                out[key] = get(key, 0) + ca * cb
+    return out
 
 
-def _union_into(dst: Table, src: Table, mask: int) -> None:
-    for k, v in src.items():
-        nv = (dst.get(k, 0) + v) & mask
-        if nv:
-            dst[k] = nv
-        elif k in dst:
-            del dst[k]
-
-
-def _merge3(tabs: Sequence[Table], mask: int) -> Table:
+def _add(*tabs: Table) -> Table:
     out: Table = {}
+    get = out.get
     for t in tabs:
-        _union_into(out, t, mask)
+        for k, v in t.items():
+            out[k] = get(k, 0) + v
     return out
 
 
@@ -199,7 +195,6 @@ def _component_table(
     wts: IsolationWeights,
     degs: Dict[int, int],
     packer: _Packer,
-    mask: int,
     forced: FrozenSet[int],
 ) -> Table:
     """Sum over label assignments of one forest component.
@@ -233,14 +228,11 @@ def _component_table(
                 t_r = {packer.pack(0, 0, 0, e_to_r): 1}
         for u in comp.children[v]:
             cf, cl, cr = tabs.pop(u)
-            any_side = _merge3((cf, cl, cr), mask)
-            same_l = _merge3((cf, _shift_e(cl, 1, packer)), mask)
-            same_r = _merge3((cf, _shift_e(cr, 1, packer)), mask)
-            t_f = _conv(t_f, any_side, packer, mask)
-            t_l = _conv(t_l, same_l, packer, mask)
-            t_r = _conv(t_r, same_r, packer, mask)
+            t_f = _conv(t_f, _add(cf, cl, cr), packer)
+            t_l = _conv(t_l, _add(cf, _shift_e(cl, 1, packer)), packer)
+            t_r = _conv(t_r, _add(cf, _shift_e(cr, 1, packer)), packer)
         tabs[v] = (t_f, t_l, t_r)
-    return _merge3(tabs[comp.postorder[-1]], mask)
+    return _add(*tabs[comp.postorder[-1]])
 
 
 def _trace_term(
@@ -339,7 +331,6 @@ def _side_table(
     wts: IsolationWeights,
     degs: Dict[int, int],
     packer: _Packer,
-    mask: int,
     forced: FrozenSet[int],
     comp_memo: Dict[Tuple, Table],
 ) -> Table:
@@ -348,7 +339,7 @@ def _side_table(
     anchored tables of the side's components.  A component table depends only
     on its interface labels, and not on their mirror, so ``comp_memo`` keeps
     it under (idx, component, canonical labels) for the whole draw."""
-    out: Table = {}
+    accs: List[Table] = []
     for assign in _assignments(side.f_side, forced):
         for v, lab in zip(side.f_side, assign):
             labels[v] = lab
@@ -360,39 +351,12 @@ def _side_table(
             ck = (idx, ci, _canon(tuple([labels[t] for t in comp.iface])))
             tbl = comp_memo.get(ck)
             if tbl is None:
-                tbl = _component_table(comp, labels, wts, degs, packer, mask, forced)
-                comp_memo[ck] = tbl
-            acc = _conv(acc, tbl, packer, mask)
+                tbl = comp_memo[ck] = _component_table(comp, labels, wts, degs, packer, forced)
+            acc = _conv(acc, tbl, packer)
             if not acc:
                 break
-        _union_into(out, acc, mask)
-    return out
-
-
-def _side_tables(
-    layout: _Layout,
-    labels: Dict[int, int],
-    wts: IsolationWeights,
-    packer: _Packer,
-    mask: int,
-    forced: FrozenSet[int],
-) -> Callable[[int], Table]:
-    """Side i's table under the current ``labels``, for one draw.  It depends
-    only on the labels of ``layout.rels[i]``, and not on their mirror, so it
-    is built once per canonical form of those labels."""
-    comp_memo: Dict[Tuple, Table] = {}
-    memos: List[Dict[Tuple[int, ...], Table]] = [{} for _ in layout.sides]
-
-    def side_table(idx: int) -> Table:
-        memo_key = _canon(tuple([labels[t] for t in layout.rels[idx]]))
-        tbl = memos[idx].get(memo_key)
-        if tbl is None:
-            tbl = _side_table(idx, layout.sides[idx], labels, wts, layout.degs, packer, mask,
-                              forced, comp_memo)
-            memos[idx][memo_key] = tbl
-        return tbl
-
-    return side_table
+        accs.append(acc)
+    return _add(*accs)
 
 
 # ----------------------------------------------------------------------
@@ -421,7 +385,6 @@ def forest_dp_table(
             raise KeyError(f"vertex {v} not in graph")
     forest_verts = [v for v in g.vertices() if v not in trace]
     n = g.n
-    mask = (1 << (n + 1)) - 1
     degs = {v: g.degree(v) for v in g.vertices()}
     two_m = sum(degs.values())
     packer = _Packer(i_cap=2 * n * n, d_cap=two_m, c_cap=n, e_cap=g.m)
@@ -433,7 +396,7 @@ def forest_dp_table(
     side = _Side([], sorted(trace),
                  [(u, v, mult) for u, v, mult in g.edges() if u in trace and v in trace],
                  _build_forest_side(g, forest_verts, set(trace)))
-    table = _side_table(0, side, labels, wts, degs, packer, mask, frozenset(), {})
+    table = _side_table(0, side, labels, wts, degs, packer, frozenset(), {})
     return _table_to_keys(table, packer, n)
 
 
@@ -519,10 +482,12 @@ def _triangle(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
 
 
 def _contract(per_side: List[Dict[Tuple[int, ...], Table]],
-              shapes: List[Tuple[int, ...]]) -> List[Tuple[int, int]]:
-    """(key, count) of every nonzero triangle-weighted sum of three sides.
-    Each side's tables stack into one int64 (key, pair, pair) array over the
-    sorted union of their keys."""
+              shapes: List[Tuple[int, ...]], n: int) -> List[Tuple[int, int]]:
+    """(key, count) of every nonzero triangle-weighted sum of three sides,
+    exact modulo 2^(n+1).  Each side's tables stack into one int64 (key,
+    pair, pair) array over the sorted union of their keys; counts enter it
+    reduced modulo 2^(n+1), since a plain count can pass 2^63."""
+    mask = (1 << (n + 1)) - 1
     stacks = []
     for tables, shape in zip(per_side, shapes):
         keys = sorted({key for t in tables.values() for key in t})
@@ -530,7 +495,7 @@ def _contract(per_side: List[Dict[Tuple[int, ...], Table]],
         stack = np.zeros((len(keys),) + shape, dtype=np.int64)
         for at, t in tables.items():
             for key, cnt in t.items():
-                stack[(index[key],) + at] = cnt
+                stack[(index[key],) + at] = cnt & mask
         stacks.append((keys, stack))
     (keys1, a1), (keys2, a2), (keys3, a3) = stacks
     tri = _triangle(a1, a2, a3)
@@ -554,8 +519,10 @@ def count_tables(
     mirror, each side yields one table per labelling of its pairwise classes
     (at two colors there are none, so each side has one table, under ``()``).
     Two sides then convolve their tables; three sides contract theirs in
-    ``_contract``.  Counts accumulate unreduced and are reduced modulo
-    2^(n+1) once, at the end.
+    ``_contract``.  Side and component tables hold plain counts, memoized
+    per draw; each side's table is built once per canonical form of the
+    labels in ``layout.rels[i]``.  The returned counts are reduced modulo
+    2^(n+1), once, at the end.
     """
     lay = layout
     n = lay.n
@@ -563,7 +530,8 @@ def count_tables(
     packer = _Packer(i_cap=2 * n * min(c_cap, n) if n else 0,
                      d_cap=d_cap, c_cap=c_cap, e_cap=e_cap)
     labels: Dict[int, int] = {}
-    side_table = _side_tables(lay, labels, wts, packer, mask, forced)
+    comp_memo: Dict[Tuple, Table] = {}
+    side_memos: List[Dict[Tuple[int, ...], Table]] = [{} for _ in lay.sides]
     # fixed for the draw: each pairwise class's labellings as (vertex, label)
     # pairs, and per side their combinations, under the index tuple stacked at
     pair_settings = {ix: [list(zip(order, a)) for a in _assignments(order, forced)]
@@ -588,7 +556,11 @@ def count_tables(
             for at, setting in combos:
                 for v, lab in setting:
                     labels[v] = lab
-                tbl = side_table(i)
+                memo_key = _canon(tuple([labels[t] for t in lay.rels[i]]))
+                tbl = side_memos[i].get(memo_key)
+                if tbl is None:
+                    tbl = side_memos[i][memo_key] = _side_table(
+                        i, lay.sides[i], labels, wts, lay.degs, packer, forced, comp_memo)
                 if tbl:
                     tables[at] = tbl
             if not tables:
@@ -599,7 +571,7 @@ def count_tables(
                 outer, inner = per_side[0][()].items(), per_side[1][()].items()
             else:
                 # the contraction combined all three sides: convolve with the unit
-                outer, inner = _contract(per_side, shapes), ((0, 1),)
+                outer, inner = _contract(per_side, shapes, n), ((0, 1),)
             for base, ca in outer:
                 base += term
                 ca *= weight
@@ -644,12 +616,8 @@ def _table_to_keys(table: Table, packer: _Packer, n: int) -> Dict[Tuple[int, int
     for p, cnt in table.items():
         i, d, c, e = packer.unpack(p)
         key = (n * n * i + d, c, e)
-        nv = (out.get(key, 0) + cnt) & mask
-        if nv:
-            out[key] = nv
-        elif key in out:
-            del out[key]
-    return out
+        out[key] = out.get(key, 0) + cnt
+    return {key: cnt & mask for key, cnt in out.items() if cnt & mask}
 
 
 def _decide(
@@ -763,7 +731,6 @@ def reconstruct_witness(
     g: MultiGraph,
     k: int,
     dbar: float,
-    rng: random.Random,
 ) -> Optional[FrozenSet[int]]:
     """Self-reduction: grow a forced set vertex by vertex, keeping a vertex
     exactly when the decider still accepts with it pinned into F.

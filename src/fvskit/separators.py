@@ -40,10 +40,14 @@ def forest_balanced_separator(
     weight <= total/beta.
 
     Each component is rooted at its smallest vertex with children in id
-    order.  Repeatedly the deepest vertex whose subtree weight still exceeds
-    total/beta is moved into the separator and its subtree discarded; its
-    child subtrees are already light, so each peel removes more than
-    total/beta weight and the separator stays within ``beta`` vertices.
+    order.  One postorder pass keeps each vertex's residual subtree weight:
+    its own weight plus the residual weights of the children not peeled.  A
+    vertex whose residual weight exceeds total/beta goes into the separator
+    and passes nothing up; otherwise its weight joins its parent's.  The
+    child subtrees of a peeled vertex are already light, so each peel removes
+    more than total/beta weight and the separator stays within ``beta``
+    vertices.  This is the set that repeatedly peeling the deepest heavy
+    vertex gives, since a residual weight depends only on the peels below it.
     Comparisons use integers (subtree_weight * beta > total) throughout.
     Raises ValueError when t has a cycle.
     """
@@ -52,38 +56,13 @@ def forest_balanced_separator(
     total = sum(weights[v] for v in t.vertices())
 
     order, parent = rooted_forest(t)  # preorder; reversed it is a postorder
-    depth: Dict[int, int] = {}
-    children: Dict[int, List[int]] = {v: [] for v in order}
-    for v in order:
-        p = parent[v]
-        depth[v] = 0 if p is None else depth[p] + 1
-        if p is not None:
-            children[p].append(v)
-
-    alive: Set[int] = set(t.vertices())
+    sub = {v: weights[v] for v in order}
     sep: Set[int] = set()
-    while True:
-        sub = {v: weights[v] for v in alive}
-        for v in reversed(order):
-            if v in alive:
-                p = parent[v]
-                if p is not None and p in alive:
-                    sub[p] += sub[v]
-        best: Optional[int] = None
-        for v in alive:
-            if sub[v] * beta > total:
-                if best is None or (depth[v], -v) > (depth[best], -best):
-                    best = v
-        if best is None:
-            break
-        sep.add(best)
-        stack = [best]
-        while stack:
-            v = stack.pop()
-            alive.discard(v)
-            for u in children[v]:
-                if u in alive:
-                    stack.append(u)
+    for v in reversed(order):
+        if sub[v] * beta > total:
+            sep.add(v)
+        elif parent[v] is not None:
+            sub[parent[v]] += sub[v]
 
     assert len(sep) <= beta, "peeling bound violated"
     return frozenset(sep)

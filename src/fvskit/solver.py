@@ -135,6 +135,7 @@ def iterative_compression(
     """
     if k < 0:
         return None
+    stats = Counter() if stats is None else stats
     dbar = config.dbar
     d_limit = math.floor(dbar * k)
     order = g.vertices()
@@ -145,8 +146,7 @@ def iterative_compression(
         if len(cand) <= k and degree_load(prefix, cand) <= d_limit:
             current = cand
             continue
-        if stats is not None:
-            stats["compressions"] += 1
+        stats["compressions"] += 1
         fat = current | {v}  # always a solution of the prefix, size <= k+1
         if config.variant == "mm":
             sep = three_way_separation(prefix, fat, rng, budget=k)
@@ -160,7 +160,7 @@ def iterative_compression(
             return decider(prefix, fat, k, dbar, sep, rng,
                            draws=draws, forced=forced, stats=stats)
 
-        found = reconstruct_witness(decide, prefix, k, dbar, rng)
+        found = reconstruct_witness(decide, prefix, k, dbar)
         if found is None:
             return None
         current = set(found)
@@ -186,6 +186,7 @@ def fvs_trial(
     ``kernel`` is ``reduce_exhaustive(g, k)`` when the caller already has it;
     the descent only reads its graph, never mutates it.
     """
+    stats = Counter() if stats is None else stats
     eps = config.eps
     dbar = config.dbar
     red = kernel if kernel is not None else reduce_exhaustive(g, k)
@@ -198,8 +199,7 @@ def fvs_trial(
         return None
 
     def run_ic() -> Optional[FrozenSet[int]]:
-        if stats is not None:
-            stats["ic_runs"] += 1
+        stats["ic_runs"] += 1
         if ic_runner is not None:
             return ic_runner(h, k2)
         return iterative_compression(h, k2, config, rng, stats)
@@ -222,16 +222,14 @@ def fvs_trial(
         if v is None:
             # 3-regular graph: no degree mass to sample, compression is the
             # only move regardless of the coin
-            if stats is not None:
-                stats["forced_ic"] += 1
+            stats["forced_ic"] += 1
             take_ic = True
 
     if take_ic:
         res = run_ic()
         if res is not None:
             return forced | res
-        if stats is not None:
-            stats["ic_infeasible"] += 1
+        stats["ic_infeasible"] += 1
         # The caps make compression stricter than plain feasibility, so a
         # failed compression must not kill the trial: fall back to sampling
         # (and stop compressing below this point).
@@ -241,8 +239,7 @@ def fvs_trial(
         ic_allowed = False
 
     assert v is not None
-    if stats is not None:
-        stats["uniform_samples" if uniform_regime else "weighted_samples"] += 1
+    stats["uniform_samples" if uniform_regime else "weighted_samples"] += 1
     rest = fvs_trial(minus(h, {v}), k2 - 1, config, rng,
                      ic_allowed=ic_allowed, ic_runner=ic_runner, stats=stats)
     if rest is None:

@@ -436,6 +436,20 @@ def test_three_way_contraction_is_exact_modulo_2_63_when_products_wrap():
             assert int(got[i, j, l]) % (1 << 63) == exact % (1 << 63)
 
 
+def test_contract_reduces_counts_past_int64_into_the_ring():
+    # plain side counts may pass 2^63; they enter the int64 stacks reduced
+    r = random.Random(5)
+    n = 62
+    mask = (1 << (n + 1)) - 1
+    shapes = [(2, 3), (2, 2), (3, 2)]
+    big = [{at: {key: r.randrange(1 << 63, 1 << 70) for key in r.sample(range(40), 4)}
+            for at in itertools.product(*map(range, shape))}
+           for shape in shapes]
+    small = [{at: {key: cnt & mask for key, cnt in t.items()} for at, t in side.items()}
+             for side in big]
+    assert cutcount._contract(big, shapes, n) == cutcount._contract(small, shapes, n)
+
+
 def test_triangle_weighted_sum_bad_method():
     one = np.ones((1, 1), dtype=np.int64)
     with pytest.raises(ValueError):
@@ -455,7 +469,7 @@ def test_reconstruct_witness_finds_valid_set(rng):
             return count_simple_separation(g, f, kmin, 99.0, sep, rng,
                                            draws=draws, forced=forced)
 
-        wit = reconstruct_witness(decide, g, kmin, 99.0, rng)
+        wit = reconstruct_witness(decide, g, kmin, 99.0)
         assert wit is not None
         assert len(wit) <= kmin
         assert is_forest(minus(g, wit))
@@ -470,4 +484,4 @@ def test_reconstruct_witness_rejects_infeasible(rng):
         return count_simple_separation(g, f, 1, 9.0, sep, rng,
                                        draws=draws or 6, forced=forced)
 
-    assert reconstruct_witness(decide, g, 1, 9.0, rng) is None
+    assert reconstruct_witness(decide, g, 1, 9.0) is None

@@ -59,6 +59,54 @@ def test_balanced_separator_bound_holds_randomly():
             assert sum(w[v] for v in comp) * beta <= total
 
 
+def _deepest_first_peel(g: MultiGraph, w, beta: int):
+    """Reference separator: root each component at its smallest vertex, then
+    repeatedly peel the deepest vertex whose live subtree is heavy, with its
+    subtree, until none is."""
+    parent, depth = {}, {}
+    for comp in connected_components(g):
+        root = min(comp)
+        parent[root], depth[root] = None, 0
+        queue = [root]
+        for v in queue:
+            for u in g.neighbors(v):
+                if u not in depth:
+                    parent[u], depth[u] = v, depth[v] + 1
+                    queue.append(u)
+    total = sum(w.values())
+    alive, sep = set(g.vertices()), set()
+    while True:
+        sub = {v: w[v] for v in alive}
+        for v in sorted(alive, key=depth.get, reverse=True):
+            if parent[v] in alive:
+                sub[parent[v]] += sub[v]
+        heavy = [v for v in alive if sub[v] * beta > total]
+        if not heavy:
+            return frozenset(sep)
+        best = max(heavy, key=lambda v: (depth[v], -v))
+        sep.add(best)
+        below = {best}
+        for v in sorted(alive, key=depth.get):
+            if parent[v] in below:
+                below.add(v)
+        alive -= below
+
+
+def test_balanced_separator_is_the_deepest_first_peel():
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randrange(1, 40)
+        ids = list(range(n))
+        rng.shuffle(ids)
+        g = MultiGraph.from_edges(ids, [])
+        for i in range(1, n):
+            if rng.random() < 0.9:
+                g.add_edge(ids[i], ids[rng.randrange(i)])
+        w = {v: rng.choice((0, 1, 1, 2, 7, 100)) for v in ids}
+        beta = rng.randrange(1, 12)
+        assert forest_balanced_separator(g, w, beta) == _deepest_first_peel(g, w, beta)
+
+
 def test_balanced_separator_rejects_cycles():
     with pytest.raises(ValueError):
         forest_balanced_separator(mg(3, [(0, 1), (1, 2), (0, 2)]), {0: 1, 1: 1, 2: 1}, 1)
