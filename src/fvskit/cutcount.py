@@ -9,8 +9,8 @@ a bucket is certified non-empty of forest solutions exactly when its total
 is nonzero modulo 2^(n - s - m' + 1).  Every residue the accept test reads
 lives in the ring modulo 2^(n + 1), and nothing inside the builder reads one,
 so its tables hold plain non-negative counts.  A count is reduced into the
-ring only where it leaves them: at the return of ``count_tables``, in
-``_table_to_keys``, and where ``_contract`` stacks counts into int64.
+ring only where it leaves them: at the return of ``count_tables`` and in
+``_table_to_keys``.
 
 Isolation weights are drawn per attempt: omega uniform on 1..2n per vertex,
 scaled as omega' = n^2 * omega + deg so that the degree of a minimum-weight
@@ -30,10 +30,12 @@ assignment, one side's trace enumeration, or one anchored forest table), and
 the stages couple only through the labels of the enumerated vertices.
 
 One builder, ``count_tables``, serves both deciders; only its combine step
-depends on the number of colors.  Two sides convolve dicts of Python ints, so
-the two-way decider takes any n.  Three sides contract int64 stacks by two
-``tensordot`` calls, exact modulo 2^(n+1), which divides 2^64, while the
-reduced counts fit: n <= MAX_THREE_WAY_N.
+depends on the number of colors.  Two sides convolve their tables.  Three
+sides join theirs in a triangle sum of nested convolutions, ``_combine3``,
+which is capped at every step like every other convolution.  No step
+multiplies matrices, so neither variant runs a fast matrix product; tables of
+Python ints take any n, and MAX_THREE_WAY_N is only the mm variant's size
+guard.
 
 Swapping L and R maps a partition to its mirror, which has the same key, so
 every table is unchanged by the swap.  The builder uses this twice.  It
@@ -59,15 +61,14 @@ from collections import Counter
 from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence,
                     Set, Tuple, Union)
 
-import numpy as np
-
 from .multigraph import MultiGraph, induced, is_forest, minus, rooted_forest
 from .separators import Separation, ThreeWaySeparation
 
 F_LBL, L_LBL, R_LBL = 0, 1, 2
 _LABELS = (F_LBL, L_LBL, R_LBL)
 
-# the largest n whose three-way counts, all below 2^(n+1), fit int64
+# the mm variant's documented size guard: the three-way decider refuses graphs
+# above this many vertices, and an mm solve refuses such a kernel
 MAX_THREE_WAY_N = 62
 
 
@@ -475,33 +476,19 @@ class _Layout:
 # the table builder
 
 
-def _triangle(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
-    """(a, b, c) -> sum over x, y, z of a1[a, x, y] * a2[b, x, z] * a3[c, y, z],
-    by two tensordot calls; int64 wraparound keeps it exact modulo 2^64."""
-    return np.tensordot(np.tensordot(a1, a2, axes=(1, 1)), a3, axes=((1, 3), (1, 2)))
-
-
-def _contract(per_side: List[Dict[Tuple[int, ...], Table]],
-              shapes: List[Tuple[int, ...]], n: int) -> List[Tuple[int, int]]:
-    """(key, count) of every nonzero triangle-weighted sum of three sides,
-    exact modulo 2^(n+1).  Each side's tables stack into one int64 (key,
-    pair, pair) array over the sorted union of their keys; counts enter it
-    reduced modulo 2^(n+1), since a plain count can pass 2^63."""
-    mask = (1 << (n + 1)) - 1
-    stacks = []
-    for tables, shape in zip(per_side, shapes):
-        keys = sorted({key for t in tables.values() for key in t})
-        index = {key: j for j, key in enumerate(keys)}
-        stack = np.zeros((len(keys),) + shape, dtype=np.int64)
-        for at, t in tables.items():
-            for key, cnt in t.items():
-                stack[(index[key],) + at] = cnt & mask
-        stacks.append((keys, stack))
-    (keys1, a1), (keys2, a2), (keys3, a3) = stacks
-    tri = _triangle(a1, a2, a3)
-    nz = np.nonzero(tri)
-    return [(keys1[a] + keys2[b] + keys3[c], cnt)
-            for a, b, c, cnt in zip(*(ix.tolist() for ix in nz), tri[nz].tolist())]
+def _combine3(per_side: List[Dict[Tuple[int, ...], Table]], packer: _Packer) -> Table:
+    """The triangle sum of three sides: over the labellings x, y, z of S_12,
+    S_13 and S_23, side1[x, y] * side2[x, z] * side3[y, z], each product a
+    convolution.  Fields only grow as keys add, so a sum is in cap only when
+    its parts are, and capping each convolution drops only what the final
+    cap test would."""
+    t1s, t2s, t3s = per_side
+    out: List[Table] = []
+    for (x, y), t1 in t1s.items():
+        inner = _add(*(_conv(t2, t3s[y, z], packer)
+                       for (x2, z), t2 in t2s.items() if x2 == x and (y, z) in t3s))
+        out.append(_conv(t1, inner, packer))
+    return _add(*out)
 
 
 def count_tables(
@@ -518,11 +505,11 @@ def count_tables(
     For each canonical labelling of the global class, weighted for its
     mirror, each side yields one table per labelling of its pairwise classes
     (at two colors there are none, so each side has one table, under ``()``).
-    Two sides then convolve their tables; three sides contract theirs in
-    ``_contract``.  Side and component tables hold plain counts, memoized
-    per draw; each side's table is built once per canonical form of the
-    labels in ``layout.rels[i]``.  The returned counts are reduced modulo
-    2^(n+1), once, at the end.
+    Two sides then convolve their tables; three sides join theirs in the
+    triangle sum of ``_combine3``.  Side and component tables hold plain
+    counts, memoized per draw; each side's table is built once per canonical
+    form of the labels in ``layout.rels[i]``.  The returned counts are reduced
+    modulo 2^(n+1), once, at the end.
     """
     lay = layout
     n = lay.n
@@ -533,13 +520,12 @@ def count_tables(
     comp_memo: Dict[Tuple, Table] = {}
     side_memos: List[Dict[Tuple[int, ...], Table]] = [{} for _ in lay.sides]
     # fixed for the draw: each pairwise class's labellings as (vertex, label)
-    # pairs, and per side their combinations, under the index tuple stacked at
+    # pairs, and per side their combinations, under the tuple of their indices
     pair_settings = {ix: [list(zip(order, a)) for a in _assignments(order, forced)]
                      for ix, order in lay.pair_orders.items()}
-    shapes = [tuple(len(pair_settings[ix]) for ix in pairs) for pairs in lay.side_pairs]
     side_combos = [[(at, [vl for ix, j in zip(pairs, at) for vl in pair_settings[ix][j]])
-                    for at in itertools.product(*map(range, shape))]
-                   for pairs, shape in zip(lay.side_pairs, shapes)]
+                    for at in itertools.product(*(range(len(pair_settings[ix])) for ix in pairs))]
+                   for pairs in lay.side_pairs]
 
     out: Table = {}
     get = out.get
@@ -570,8 +556,8 @@ def count_tables(
             if len(per_side) == 2:
                 outer, inner = per_side[0][()].items(), per_side[1][()].items()
             else:
-                # the contraction combined all three sides: convolve with the unit
-                outer, inner = _contract(per_side, shapes, n), ((0, 1),)
+                # the triangle sum combined all three sides: convolve with the unit
+                outer, inner = _combine3(per_side, packer).items(), ((0, 1),)
             for base, ca in outer:
                 base += term
                 ca *= weight

@@ -51,7 +51,8 @@ DEFAULT_EPSILON = {"simple": 0.155433, "mm": 0.3000237}
 
 class BudgetExceeded(Exception):
     """Raised when k is above the configured ceiling for exact solving, or
-    when an mm solve's kernel has more than MAX_THREE_WAY_N vertices."""
+    when an mm solve's kernel has more than MAX_THREE_WAY_N vertices, the mm
+    variant's documented size guard."""
 
 
 def dbar_for(epsilon: float) -> float:
@@ -298,7 +299,8 @@ def solve(g: MultiGraph, k: int, config: Optional[SolverConfig] = None) -> Solve
     Returns status "fvs" with a verified solution, or "infeasible" after the
     full trial budget came up empty.  Raises BudgetExceeded, before any
     trial, when k is above config.max_k or when the variant is mm and the
-    feasible kernel has more than MAX_THREE_WAY_N vertices.
+    feasible kernel has more than MAX_THREE_WAY_N vertices, the mm variant's
+    documented size guard.
     """
     config = config or SolverConfig()
     if k < 0:
@@ -312,7 +314,7 @@ def solve(g: MultiGraph, k: int, config: Optional[SolverConfig] = None) -> Solve
     kernel = reduce_exhaustive(g, k)
     if config.variant == "mm" and not kernel.infeasible and kernel.graph.n > MAX_THREE_WAY_N:
         raise BudgetExceeded(f"mm kernel has {kernel.graph.n} vertices, above the "
-                             f"{MAX_THREE_WAY_N} its int64 tables support")
+                             f"mm variant's size guard of {MAX_THREE_WAY_N}")
 
     parallel = config.jobs > 1 and budget >= 2 * config.jobs
     # in parallel, trial 0 runs here and fills the memo the workers start from

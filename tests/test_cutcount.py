@@ -200,7 +200,7 @@ def test_rejects_f_that_is_not_an_fvs():
 
 
 def test_rejects_oversized_graphs():
-    # only the three-way tables are int64; the two-way tables have no cap
+    # the size guard binds the three-way decider only; the two-way one has none
     g = mg(63, [])
     with pytest.raises(ValueError):
         count_three_way(g, frozenset(), 1, 4.0,
@@ -419,35 +419,31 @@ def test_triangle_weighted_sum_wraps_consistently():
     assert triangle_weighted_sum(h, "matrix") == triangle_weighted_sum(h, "loops")
 
 
-def test_three_way_contraction_is_exact_modulo_2_63_when_products_wrap():
-    # entries near 2^62 make every int64 product wrap; the counts the
-    # decider reads live modulo 2^(n+1) <= 2^63, which divides 2^64
-    r = np.random.default_rng(11)
-    top = 1 << 62
-    for _ in range(20):
-        a, b, c, x, y, z = r.integers(1, 4, size=6).tolist()
-        a1, a2, a3 = (r.integers(top - (1 << 20), top, size=shape, dtype=np.int64)
-                      for shape in ((a, x, y), (b, x, z), (c, y, z)))
-        got = cutcount._triangle(a1, a2, a3)
-        assert got.shape == (a, b, c)
-        for i, j, l in itertools.product(range(a), range(b), range(c)):
-            exact = sum(int(a1[i, p, q]) * int(a2[j, p, s]) * int(a3[l, q, s])
-                        for p in range(x) for q in range(y) for s in range(z))
-            assert int(got[i, j, l]) % (1 << 63) == exact % (1 << 63)
-
-
-def test_contract_reduces_counts_past_int64_into_the_ring():
-    # plain side counts may pass 2^63; they enter the int64 stacks reduced
+def test_combine3_matches_a_triple_loop_capped_on_the_final_key():
+    # counts past 2^63 stay exact; keys with a field one past its cap sum
+    # three at a time without a carry, so ``ok`` on the final key is exact
     r = random.Random(5)
-    n = 62
-    mask = (1 << (n + 1)) - 1
-    shapes = [(2, 3), (2, 2), (3, 2)]
-    big = [{at: {key: r.randrange(1 << 63, 1 << 70) for key in r.sample(range(40), 4)}
-            for at in itertools.product(*map(range, shape))}
-           for shape in shapes]
-    small = [{at: {key: cnt & mask for key, cnt in t.items()} for at, t in side.items()}
-             for side in big]
-    assert cutcount._contract(big, shapes, n) == cutcount._contract(small, shapes, n)
+    packer = cutcount._Packer(i_cap=6, d_cap=5, c_cap=3, e_cap=4)
+    caps = (packer.i_cap, packer.d_cap, packer.c_cap, packer.e_cap)
+
+    def table():
+        return {packer.pack(*(r.randint(0, cap + (r.random() < 0.2)) for cap in caps)):
+                r.randrange(1 << 63, 1 << 70) for _ in range(r.randint(1, 4))}
+
+    for _ in range(60):
+        nx, ny, nz = (r.randint(1, 3) for _ in range(3))
+        per_side = [{at: table() for at in itertools.product(range(na), range(nb))
+                     if r.random() < 0.8}
+                    for na, nb in ((nx, ny), (nx, nz), (ny, nz))]
+        t1s, t2s, t3s = per_side
+        want = Counter()
+        for x, y, z in itertools.product(range(nx), range(ny), range(nz)):
+            for (k1, c1), (k2, c2), (k3, c3) in itertools.product(
+                    t1s.get((x, y), {}).items(), t2s.get((x, z), {}).items(),
+                    t3s.get((y, z), {}).items()):
+                if packer.ok(k1 + k2 + k3):
+                    want[k1 + k2 + k3] += c1 * c2 * c3
+        assert cutcount._combine3(per_side, packer) == want
 
 
 def test_triangle_weighted_sum_bad_method():

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -278,3 +282,17 @@ def test_stats_shape():
     res = solve(g, 1, SolverConfig(seed=4))
     for key in ("decider_calls", "decider_draws", "decider_accepts"):
         assert key in res.stats
+
+
+def test_mm_solve_imports_no_numpy():
+    # numpy is a test and benchmark dependency only; this solve runs the
+    # three-way decider, which holds its counts in Python ints
+    code = ("import sys, fvskit\n"
+            f"g = fvskit.MultiGraph.from_edges(range(10), {PETERSEN!r})\n"
+            "r = fvskit.solve(g, 2, fvskit.SolverConfig(variant='mm', seed=1))\n"
+            "assert r.stats['decider_calls'] > 0, r.stats\n"
+            "assert 'numpy' not in sys.modules\n")
+    src = str(Path(fvskit.solver.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
