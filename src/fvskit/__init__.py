@@ -4,13 +4,7 @@ The solver deletes vertices until the rest is a forest, deciding bounded
 sub-instances through mod-2^t counting over randomized graph separations.
 """
 from .multigraph import MultiGraph, connected_components, induced, is_forest, minus
-from .oracle import (
-    TriPartiteWeightedGraph,
-    brute_cut_objects,
-    brute_min_fvs,
-    triangle_weighted_sum,
-    verify_fvs,
-)
+from .oracle import brute_cut_objects, brute_min_fvs, verify_fvs
 from .reductions import ReductionOutcome, reduce_exhaustive
 from .separators import (
     Separation,
@@ -23,7 +17,6 @@ from .separators import (
 )
 from .cutcount import (
     DeciderOutcome,
-    IsolationWeights,
     count_simple_separation,
     count_three_way,
     draw_weights,
@@ -44,13 +37,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MultiGraph", "connected_components", "induced", "is_forest", "minus",
-    "TriPartiteWeightedGraph", "brute_cut_objects", "brute_min_fvs",
-    "triangle_weighted_sum", "verify_fvs",
+    "brute_cut_objects", "brute_min_fvs", "verify_fvs",
     "ReductionOutcome", "reduce_exhaustive",
     "Separation", "ThreeWaySeparation", "TreeDecomposition",
     "two_way_separation", "three_way_separation",
     "tree_decomposition_from_fvs", "validate_decomposition",
-    "DeciderOutcome", "IsolationWeights",
+    "DeciderOutcome",
     "count_simple_separation", "count_three_way", "draw_weights",
     "forest_dp_table", "reconstruct_witness",
     "BudgetExceeded", "SolveResult", "SolverConfig",

@@ -74,6 +74,11 @@ def format_instance(g: MultiGraph, comments: Sequence[str] = ()) -> str:
     return "\n".join(out) + "\n"
 
 
+def _usage_error(message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _read_instance(path: str) -> MultiGraph:
     if path == "-":
         return parse_instance(sys.stdin.read())
@@ -110,8 +115,13 @@ def _config_from(args: argparse.Namespace) -> SolverConfig:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.k < 0:
+        return _usage_error("-k must be non-negative")
+    try:
+        config = _config_from(args)
+    except ValueError as exc:  # an option out of range
+        return _usage_error(exc)
     g = _read_instance(args.instance)
-    config = _config_from(args)
     try:
         res = solve(g, args.k, config)
     except BudgetExceeded as exc:
@@ -143,11 +153,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         picks = [int(tok) for tok in args.set.replace(",", " ").split()]
     except ValueError:
-        print("error: --set must be a list of integers", file=sys.stderr)
-        return 2
+        return _usage_error("--set must be a list of integers")
     if any(not (1 <= p <= g.n) for p in picks):
-        print("error: --set entries out of range", file=sys.stderr)
-        return 2
+        return _usage_error("--set entries out of range")
     chosen = {verts[p - 1] for p in picks}
     if verify_fvs(g, chosen):
         print(f"VALID {len(chosen)}")
@@ -159,8 +167,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g = _read_instance(args.instance)
     if g.n > args.limit:
-        print(f"error: oracle limited to n <= {args.limit}", file=sys.stderr)
-        return 2
+        return _usage_error(f"oracle limited to n <= {args.limit}")
     k, wit = brute_min_fvs(g, limit=args.limit)
     verts = g.vertices()
     index = {v: i + 1 for i, v in enumerate(verts)}
@@ -172,22 +179,25 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed if args.seed is not None else 0)
     comments = [f"family={args.family}", f"seed={args.seed}"]
-    if args.family == "gnm":
-        g = generate.random_gnm(args.n, args.m, rng,
-                                allow_loops=not args.simple,
-                                allow_multi=not args.simple)
-    elif args.family == "cycle":
-        g = generate.cycle(args.n)
-    elif args.family == "cycles":
-        lengths = [int(t) for t in args.lengths.split(",") if t]
-        g = generate.disjoint_cycles(lengths)
-    elif args.family == "planted":
-        g, hubs = generate.planted_fvs(args.forest_size, args.k, args.dbar, rng)
-        verts = g.vertices()
-        index = {v: i + 1 for i, v in enumerate(verts)}
-        comments.append("planted " + " ".join(str(index[h]) for h in sorted(hubs)))
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.family)
+    try:  # the generators reject out-of-range sizes with ValueError
+        if args.family == "gnm":
+            g = generate.random_gnm(args.n, args.m, rng,
+                                    allow_loops=not args.simple,
+                                    allow_multi=not args.simple)
+        elif args.family == "cycle":
+            g = generate.cycle(args.n)
+        elif args.family == "cycles":
+            lengths = [int(t) for t in args.lengths.split(",") if t]
+            g = generate.disjoint_cycles(lengths)
+        elif args.family == "planted":
+            g, hubs = generate.planted_fvs(args.forest_size, args.k, args.dbar, rng)
+            verts = g.vertices()
+            index = {v: i + 1 for i, v in enumerate(verts)}
+            comments.append("planted " + " ".join(str(index[h]) for h in sorted(hubs)))
+        else:  # pragma: no cover - argparse restricts choices
+            raise AssertionError(args.family)
+    except ValueError as exc:
+        return _usage_error(exc)
     _write_text(args.out, format_instance(g, comments))
     return 0
 
@@ -305,8 +315,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (InstanceFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,16 +12,17 @@ so its tables hold plain non-negative counts.  A count is reduced into the
 ring only where it leaves them: at the return of ``count_tables`` and in
 ``_table_to_keys``.
 
-Isolation weights are drawn per attempt: omega uniform on 1..2n per vertex,
-scaled as omega' = n^2 * omega + deg so that the degree of a minimum-weight
-solution rides along in the key.  With a solution of size s present, some
-bucket holds exactly one minimum solution with probability >= 1/2 per draw,
-which makes its total odd at the scaled modulus - the accept event.
+Isolation weights omega are drawn per attempt, uniform on 1..2n per vertex.
+A key weighs F by omega' = n^2 * omega + deg, so the degree of a minimum-weight
+solution rides along; no table stores omega', and W = n^2 * i + d is read off
+the key.  With a solution of size s present, some bucket holds exactly one
+minimum solution with probability >= 1/2 per draw, which makes its total odd
+at the scaled modulus - the accept event.
 
 Tables are sparse dicts over packed (i, d, c, e) keys: i the plain
 omega-sum of F so far, d its degree sum, c = |F| so far, e the edges counted
 into m' so far.  Keys add componentwise, so convolution is integer addition
-of packed keys.  Decision mode caps c at k and d at floor(dbar * k); buckets
+of packed keys.  The deciders cap c at k and d at floor(dbar * k); buckets
 beyond the caps can never be accepted, so dropping them early is sound.
 
 Edge ownership is the load-bearing invariant of both deciders: every edge
@@ -72,26 +73,16 @@ _LABELS = (F_LBL, L_LBL, R_LBL)
 MAX_THREE_WAY_N = 62
 
 
-@dataclasses.dataclass(frozen=True)
-class IsolationWeights:
-    omega: Dict[int, int]
-    omega_prime: Dict[int, int]
-    n: int
-
-
-def draw_weights(g: MultiGraph, rng: random.Random) -> IsolationWeights:
-    """omega uniform on {1..2n}; omega' = n^2 * omega + deg."""
+def draw_weights(g: MultiGraph, rng: random.Random) -> Dict[int, int]:
+    """omega per vertex, uniform on {1..2n}, in vertex order."""
     n = g.n
-    omega = {v: rng.randint(1, 2 * n) for v in g.vertices()}
-    omega_prime = {v: n * n * omega[v] + g.degree(v) for v in g.vertices()}
-    return IsolationWeights(omega, omega_prime, n)
+    return {v: rng.randint(1, 2 * n) for v in g.vertices()}
 
 
 @dataclasses.dataclass(frozen=True)
 class DeciderOutcome:
     accepted: bool
     key: Optional[Tuple[int, int, int, int]]  # (W, s, m_prime, d)
-    draws_used: int
 
 
 class _Packer:
@@ -193,7 +184,7 @@ class _CompStructure:
 def _component_table(
     comp: _CompStructure,
     labels: Dict[int, int],
-    wts: IsolationWeights,
+    wts: Dict[int, int],
     degs: Dict[int, int],
     packer: _Packer,
     forced: FrozenSet[int],
@@ -218,8 +209,8 @@ def _component_table(
             elif lab == R_LBL:
                 e_to_r += mult
         t_f: Table = {}
-        if 1 <= packer.c_cap and wts.omega[v] <= packer.i_cap and degs[v] <= packer.d_cap:
-            t_f = {packer.pack(wts.omega[v], degs[v], 1, 0): 1}
+        if 1 <= packer.c_cap and wts[v] <= packer.i_cap and degs[v] <= packer.d_cap:
+            t_f = {packer.pack(wts[v], degs[v], 1, 0): 1}
         t_l: Table = {}
         t_r: Table = {}
         if v not in forced:
@@ -240,7 +231,7 @@ def _trace_term(
     verts: Sequence[int],
     edges: Sequence[Tuple[int, int, int]],
     labels: Dict[int, int],
-    wts: IsolationWeights,
+    wts: Dict[int, int],
     degs: Dict[int, int],
     packer: _Packer,
 ) -> Optional[int]:
@@ -249,7 +240,7 @@ def _trace_term(
     i = d = c = e = 0
     for v in verts:
         if labels[v] == F_LBL:
-            i += wts.omega[v]
+            i += wts[v]
             d += degs[v]
             c += 1
     for u, v, mult in edges:
@@ -329,7 +320,7 @@ def _side_table(
     idx: int,
     side: _Side,
     labels: Dict[int, int],
-    wts: IsolationWeights,
+    wts: Dict[int, int],
     degs: Dict[int, int],
     packer: _Packer,
     forced: FrozenSet[int],
@@ -366,7 +357,7 @@ def _side_table(
 
 def forest_dp_table(
     g: MultiGraph,
-    wts: IsolationWeights,
+    wts: Dict[int, int],
     f_part: Iterable[int],
     l_part: Iterable[int],
     r_part: Iterable[int],
@@ -493,7 +484,7 @@ def _combine3(per_side: List[Dict[Tuple[int, ...], Table]], packer: _Packer) -> 
 
 def count_tables(
     layout: _Layout,
-    wts: IsolationWeights,
+    wts: Dict[int, int],
     *,
     c_cap: int,
     d_cap: int,
@@ -613,14 +604,12 @@ def _decide(
     k: int,
     dbar: float,
     sep: Union[Separation, ThreeWaySeparation],
-    rng: Optional[random.Random],
+    rng: random.Random,
     *,
     draws: Optional[int],
     forced: Iterable[int],
-    weights: Optional[IsolationWeights],
-    full_tables: bool,
     stats: Optional[Counter],
-):
+) -> DeciderOutcome:
     """The decision procedure both deciders share: guards, caps, the draw loop,
     the counters and the accept scan around the table builder ``tables``."""
     n = g.n
@@ -629,15 +618,6 @@ def _decide(
         raise ValueError(f"the three-way decider supports n <= {MAX_THREE_WAY_N}")
     forced_set = frozenset(forced)
     two_m = sum(layout.degs.values())
-    if full_tables:
-        if weights is None:
-            raise ValueError("full_tables mode needs explicit weights")
-        table, packer = tables(layout, weights, c_cap=n, d_cap=max(1, two_m),
-                               e_cap=max(1, g.m), forced=forced_set)
-        return _table_to_keys(table, packer, n)
-
-    if weights is None and rng is None:
-        raise ValueError("decision mode needs an rng or explicit weights")
     stats = stats if stats is not None else Counter()
     stats["decider_calls"] += 1
     d_limit = math.floor(dbar * k)
@@ -645,15 +625,12 @@ def _decide(
     total_draws = draws if draws is not None else max(1, 2 * n)
     used, key = 0, None
     while used < total_draws and key is None:
-        wts = weights if weights is not None else draw_weights(g, rng)
-        table, packer = tables(layout, wts, forced=forced_set, **caps)
+        table, packer = tables(layout, draw_weights(g, rng), forced=forced_set, **caps)
         used += 1
         key = _scan_accept(table, packer, n, k, d_limit)
-        if weights is not None:
-            break  # fixed weights: further draws are identical
     stats["decider_draws"] += used
     stats["decider_accepts"] += key is not None
-    return DeciderOutcome(key is not None, key, used)
+    return DeciderOutcome(key is not None, key)
 
 
 def count_simple_separation(
@@ -662,26 +639,21 @@ def count_simple_separation(
     k: int,
     dbar: float,
     sep: Separation,
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
     *,
     draws: Optional[int] = None,
     forced: Iterable[int] = (),
-    weights: Optional[IsolationWeights] = None,
-    full_tables: bool = False,
     stats: Optional[Counter] = None,
-):
+) -> DeciderOutcome:
     """Two-way decider.
 
-    Decision mode returns a DeciderOutcome after up to ``draws`` independent
-    weight draws (default 2n), and adds the call, its draws and an accept to
-    the ``decider_calls``, ``decider_draws`` and ``decider_accepts`` entries
-    of ``stats`` when one is given.  With ``full_tables`` (requires
-    ``weights``) it instead returns uncapped per-key totals for that single
-    draw, the form the brute-force tally can be compared against.
+    Draws fresh weights up to ``draws`` times (default 2n), stopping at the
+    first draw whose table has an accepting key, and adds the call, its
+    draws and an accept to the ``decider_calls``, ``decider_draws`` and
+    ``decider_accepts`` entries of ``stats`` when one is given.
     """
     return _decide(count_tables_two_way, g, f, k, dbar, sep, rng,
-                   draws=draws, forced=forced, weights=weights,
-                   full_tables=full_tables, stats=stats)
+                   draws=draws, forced=forced, stats=stats)
 
 
 def count_three_way(
@@ -690,18 +662,15 @@ def count_three_way(
     k: int,
     dbar: float,
     sep: ThreeWaySeparation,
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
     *,
     draws: Optional[int] = None,
     forced: Iterable[int] = (),
-    weights: Optional[IsolationWeights] = None,
-    full_tables: bool = False,
     stats: Optional[Counter] = None,
-):
+) -> DeciderOutcome:
     """Three-way decider; same contract as count_simple_separation."""
     return _decide(count_tables_three_way, g, f, k, dbar, sep, rng,
-                   draws=draws, forced=forced, weights=weights,
-                   full_tables=full_tables, stats=stats)
+                   draws=draws, forced=forced, stats=stats)
 
 
 # ----------------------------------------------------------------------

@@ -1,21 +1,16 @@
 """Brute-force reference implementations, exact and slow.
 
-These exist to pin down the randomized machinery in tests: minimum feedback
-vertex sets by subset enumeration, exact cut-object tallies by full 3^n
-label enumeration, and weighted triangle sums over a complete tripartite
-graph, both by one matrix product and by the cubic loop.  Hard size limits
+``brute_min_fvs`` and ``verify_fvs`` also answer the CLI's ``oracle`` and
+``verify`` commands.  The cut-object tallies, by full 3^n label enumeration,
+are the references the tests pin the counting deciders to.  Hard size limits
 keep accidental misuse loud.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .multigraph import MultiGraph, is_forest, minus
-
-if TYPE_CHECKING:  # annotations only: the triangle sums call no numpy function
-    import numpy as np
 
 MAX_BRUTE_FVS_N = 16
 MAX_BRUTE_CUT_N = 10
@@ -56,7 +51,7 @@ def _labelings(n: int):
 
 def _tally(
     g: MultiGraph,
-    omega_prime: Dict[int, int],
+    weight: Dict[int, int],
     fixed: Optional[Dict[int, int]],
 ) -> Dict[CutKey, int]:
     if g.n > MAX_BRUTE_CUT_N:
@@ -81,26 +76,26 @@ def _tally(
             m_prime += mult
         if not ok:
             continue
-        w = sum(omega_prime[v] for v in verts if lab[v] == 0)
+        w = sum(weight[v] for v in verts if lab[v] == 0)
         s = sum(1 for v in verts if lab[v] == 0)
         key = (w, s, m_prime)
         out[key] = out.get(key, 0) + 1
     return out
 
 
-def brute_cut_objects(g: MultiGraph, omega_prime: Dict[int, int]) -> Dict[CutKey, int]:
+def brute_cut_objects(g: MultiGraph, weight: Dict[int, int]) -> Dict[CutKey, int]:
     """Exact tally of consistent (F, L, R) partitions per (W, s, m') key.
 
     A partition is consistent when no edge joins L to R.  W is the
-    omega_prime-sum over F, s = |F|, and m' counts edges (with multiplicity)
+    ``weight``-sum over F, s = |F|, and m' counts edges (with multiplicity)
     whose endpoints both avoid F.  Counts are exact big ints.
     """
-    return _tally(g, omega_prime, None)
+    return _tally(g, weight, None)
 
 
 def brute_cut_objects_trace(
     g: MultiGraph,
-    omega_prime: Dict[int, int],
+    weight: Dict[int, int],
     fixed_labels: Dict[int, int],
 ) -> Dict[CutKey, int]:
     """Same tally, restricted to partitions extending ``fixed_labels``.
@@ -110,38 +105,4 @@ def brute_cut_objects_trace(
     for v in fixed_labels:
         if not g.has_vertex(v):
             raise KeyError(f"vertex {v} not in graph")
-    return _tally(g, omega_prime, dict(fixed_labels))
-
-
-@dataclasses.dataclass
-class TriPartiteWeightedGraph:
-    """Complete tripartite weight structure: w_xy[x, y] etc. carry the ring
-    weight of the edge between class members x and y."""
-
-    w_xy: np.ndarray
-    w_xz: np.ndarray
-    w_yz: np.ndarray
-
-
-def triangle_weighted_sum(h: TriPartiteWeightedGraph, method: str = "matrix") -> int:
-    """Sum over all triangles (x, y, z) of the product of the three edge
-    weights.  ``matrix`` contracts via one matrix product (this is where a
-    fast multiplication routine would slot in); ``loops`` is the cubic
-    reference.  Overflow wraps modulo 2^64, which is harmless for ring use.
-    """
-    if method == "loops":
-        nx, ny = h.w_xy.shape
-        nz = h.w_xz.shape[1]
-        total = 0
-        for x in range(nx):
-            for y in range(ny):
-                wxy = int(h.w_xy[x, y])
-                if wxy == 0:
-                    continue
-                for z in range(nz):
-                    total += wxy * int(h.w_xz[x, z]) * int(h.w_yz[y, z])
-        return total & ((1 << 64) - 1)
-    if method != "matrix":
-        raise ValueError(f"unknown method {method!r}")
-    acc = h.w_xz @ h.w_yz.T  # [x, y] = sum_z w_xz * w_yz
-    return int((h.w_xy * acc).sum()) & ((1 << 64) - 1)
+    return _tally(g, weight, dict(fixed_labels))

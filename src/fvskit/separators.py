@@ -13,8 +13,8 @@ exactly the colors of the entries it is in (one random color if none), and
 S_eps the all-colors class.  An edge therefore only ever joins classes
 whose index sets intersect; with two colors, S_1 and S_2 are the sides A and
 B and S_12 is the separator S.  Balance is a target, never a promise: the
-best of ``ATTEMPTS`` colorings is kept and its score recorded, but validity
-alone is guaranteed.
+best-balanced of ``ATTEMPTS`` colorings is kept, but validity alone is
+guaranteed.
 """
 from __future__ import annotations
 
@@ -107,9 +107,9 @@ def _colored_separation(
     rng: random.Random,
     colors: int,
     budget: Optional[int],
-) -> Tuple[Dict[FrozenSet[int], FrozenSet[int]], FrozenSet[int], int]:
+) -> Tuple[Dict[FrozenSet[int], FrozenSet[int]], FrozenSet[int]]:
     """The best of ``ATTEMPTS`` random colorings of H with ``colors`` colors,
-    as (classes by index set in ``_index_sets`` order, S_eps, balance).
+    as (classes by index set in ``_index_sets`` order, S_eps).
 
     ``budget`` sizes the forest separator (defaults to |f|); the score is the
     smallest |S_i ∩ f| over the singleton classes.
@@ -145,11 +145,11 @@ def _colored_separation(
         buckets[index_sets[-1]].update(s_eps)
         classes = {ix: frozenset(buckets[ix]) for ix in index_sets}
         _check_classes(g, classes)
-        balance = min(len(classes[ix] & fset) for ix in index_sets[:colors])
-        if best is None or balance > best[1]:
-            best = (classes, balance)
+        score = min(len(classes[ix] & fset) for ix in index_sets[:colors])
+        if best is None or score > best[1]:
+            best = (classes, score)
     assert best is not None
-    return best[0], s_eps, best[1]
+    return best[0], s_eps
 
 
 @dataclasses.dataclass(frozen=True)
@@ -160,15 +160,9 @@ class Separation:
     b: FrozenSet[int]
     s: FrozenSet[int]
     s_eps: FrozenSet[int] = frozenset()
-    balance: int = 0  # min(|a ∩ f|, |b ∩ f|) of the kept coloring
 
     def by_index(self) -> Dict[FrozenSet[int], FrozenSet[int]]:
         return dict(zip(_index_sets(2), (self.a, self.b, self.s)))
-
-
-def check_separation(g: MultiGraph, sep: Separation) -> None:
-    """Raise unless (a, b, s) partitions V(g) with no a-b edge."""
-    _check_classes(g, sep.by_index())
 
 
 def two_way_separation(
@@ -181,8 +175,8 @@ def two_way_separation(
     """Separation (A, B, S) of g with no A-B edge, f split across all three:
     the best of ``ATTEMPTS`` two-colorings, scored by min(|A∩f|, |B∩f|).
     ``budget`` sizes the forest separator (defaults to |f|)."""
-    classes, s_eps, balance = _colored_separation(g, f, rng, 2, budget)
-    return Separation(*classes.values(), s_eps, balance)
+    classes, s_eps = _colored_separation(g, f, rng, 2, budget)
+    return Separation(*classes.values(), s_eps)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -198,15 +192,10 @@ class ThreeWaySeparation:
     s23: FrozenSet[int]
     s123: FrozenSet[int]
     s_eps: FrozenSet[int] = frozenset()
-    balance: int = 0
 
     def by_index(self) -> Dict[FrozenSet[int], FrozenSet[int]]:
         return dict(zip(_index_sets(3), (self.s1, self.s2, self.s3,
                                           self.s12, self.s13, self.s23, self.s123)))
-
-
-def check_three_way(g: MultiGraph, sep: ThreeWaySeparation) -> None:
-    _check_classes(g, sep.by_index())
 
 
 def three_way_separation(
@@ -217,8 +206,8 @@ def three_way_separation(
     budget: Optional[int] = None,
 ) -> ThreeWaySeparation:
     """Three-way analogue of two_way_separation with three colors."""
-    classes, s_eps, balance = _colored_separation(g, f, rng, 3, budget)
-    return ThreeWaySeparation(*classes.values(), s_eps, balance)
+    classes, s_eps = _colored_separation(g, f, rng, 3, budget)
+    return ThreeWaySeparation(*classes.values(), s_eps)
 
 
 # ----------------------------------------------------------------------

@@ -79,6 +79,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.variant not in DEFAULT_EPSILON:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.epsilon is not None and not 0 <= self.epsilon < 1:
+            raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
 
     @property
     def eps(self) -> float:

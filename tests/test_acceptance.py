@@ -13,11 +13,11 @@ import statistics
 import time
 from collections import Counter
 
-import numpy as np
 import pytest
 
 import conftest
 
+from fvskit import cutcount
 from fvskit.cutcount import (
     count_simple_separation,
     count_three_way,
@@ -26,17 +26,10 @@ from fvskit.cutcount import (
 )
 from fvskit.generate import disjoint_cycles, planted_fvs, random_gnm
 from fvskit.multigraph import MultiGraph, is_forest, minus
-from fvskit.oracle import (
-    TriPartiteWeightedGraph,
-    brute_cut_objects,
-    brute_cut_objects_trace,
-    brute_min_fvs,
-    triangle_weighted_sum,
-)
+from fvskit.oracle import brute_cut_objects, brute_cut_objects_trace, brute_min_fvs
 from fvskit.reductions import reduce_exhaustive
 from fvskit.separators import (
-    check_separation,
-    check_three_way,
+    _check_classes,
     three_way_separation,
     tree_decomposition_from_fvs,
     two_way_separation,
@@ -168,19 +161,18 @@ def test_criterion_2_counting_exactness():
     checked = 0
     for g in pool:
         w = draw_weights(g, rng)
-        exp = _ring(brute_cut_objects(g, w.omega_prime), g.n)
+        w_prime = conftest.omega_prime(g, w)
+        exp = _ring(brute_cut_objects(g, w_prime), g.n)
         kmin, f = brute_min_fvs(g)
         # forestDP with the minimum solution pinned as the trace
         got_dp = forest_dp_table(g, w, f, (), ())
-        exp_dp = _ring(brute_cut_objects_trace(g, w.omega_prime, {v: 0 for v in f}), g.n)
+        exp_dp = _ring(brute_cut_objects_trace(g, w_prime, {v: 0 for v in f}), g.n)
         assert got_dp == exp_dp, f"forestDP mismatch on {list(g.edges())}"
         sep2 = two_way_separation(g, f, rng)
-        got2 = count_simple_separation(g, f, len(f), 99.0, sep2,
-                                       weights=w, full_tables=True)
+        got2 = conftest.full_tables(g, f, sep2, w)
         assert got2 == exp, f"two-way mismatch on {list(g.edges())}"
         sep3 = three_way_separation(g, f, rng)
-        got3 = count_three_way(g, f, len(f), 99.0, sep3,
-                               weights=w, full_tables=True)
+        got3 = conftest.full_tables(g, f, sep3, w)
         assert got3 == exp, f"three-way mismatch on {list(g.edges())}"
         checked += 1
     _report(2, True,
@@ -290,9 +282,8 @@ def test_criterion_5_no_false_positives():
     ]
     stats = Counter()
     target = 100_000
-    done = 0
     i = 0
-    while done < target:
+    while stats["decider_draws"] < target:
         g, f, k, kind = jobs[i % len(jobs)]
         i += 1
         batch = 200
@@ -303,7 +294,6 @@ def test_criterion_5_no_false_positives():
             sep = three_way_separation(g, f, rng)
             out = count_three_way(g, f, k, DBAR, sep, rng, draws=batch, stats=stats)
         assert not out.accepted
-        done += out.draws_used
     draws = stats["decider_draws"]
     accepts = stats["decider_accepts"]
     ok = draws >= target and accepts == 0
@@ -322,8 +312,8 @@ def test_criterion_6_structures_and_width():
     for _ in range(80):
         g = _random_multigraph(rng, rng.randrange(2, 11), rng.randrange(0, 20))
         _, f = brute_min_fvs(g)
-        check_separation(g, two_way_separation(g, f, rng))
-        check_three_way(g, three_way_separation(g, f, rng))
+        _check_classes(g, two_way_separation(g, f, rng).by_index())
+        _check_classes(g, three_way_separation(g, f, rng).by_index())
         k_eff = max(1, len(f))
         td = tree_decomposition_from_fvs(g, f, rng, budget=k_eff)
         rep = validate_decomposition(g, td)
@@ -356,26 +346,24 @@ def test_criterion_6_structures_and_width():
 
 def test_criterion_7_triangle_and_agreement():
     rng = random.Random(0xACC7)
+    # the solver's own triangle sum against the x, y, z loop, on random caps
     for _ in range(100):
-        dims = [rng.randrange(1, 7) for _ in range(3)]
-        r = np.random.default_rng(rng.randrange(1 << 30))
-        h = TriPartiteWeightedGraph(
-            w_xy=r.integers(0, 1 << 16, size=(dims[0], dims[1])),
-            w_xz=r.integers(0, 1 << 16, size=(dims[0], dims[2])),
-            w_yz=r.integers(0, 1 << 16, size=(dims[1], dims[2])),
-        )
-        assert triangle_weighted_sum(h, "matrix") == triangle_weighted_sum(h, "loops")
+        packer = cutcount._Packer(rng.randint(0, 40), *(rng.randint(0, 8) for _ in range(3)))
+        per_side, dims = conftest.random_side_tables(rng, packer)
+        assert cutcount._combine3(per_side, packer) == \
+            conftest.triangle_loop(per_side, dims, packer)
     agree = 0
     for _ in range(100):
         n = rng.randrange(2, 9)
         g = _random_multigraph(rng, n, rng.randrange(1, 2 * n))
         kmin, f = brute_min_fvs(g)
         k = min(n, kmin + rng.randrange(0, 2))
-        w = draw_weights(g, rng)
+        # one draw each from equal seeds: both deciders see the same weights
+        seed = rng.randrange(1 << 30)
         a = count_simple_separation(g, f, k, 99.0, two_way_separation(g, f, rng),
-                                    weights=w)
+                                    random.Random(seed), draws=1)
         b = count_three_way(g, f, k, 99.0, three_way_separation(g, f, rng),
-                            weights=w)
+                            random.Random(seed), draws=1)
         assert a.accepted == b.accepted and a.key == b.key
         agree += 1
     _report(7, True, "100 triangle sums exact, 100/100 decider verdicts agree")

@@ -114,6 +114,26 @@ def test_usage_error_exit_code(capsys):
     assert code2 == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "{inst}", "-k", "-1"),
+    ("solve", "{inst}", "-k", "1", "--epsilon", "1"),
+    ("solve", "{inst}", "-k", "1", "--epsilon", "1.5"),
+    ("gen", "cycle", "--n", "0"),
+    ("gen", "gnm", "--n", "0", "--m", "3"),
+    ("gen", "planted", "--k", "0"),
+    ("gen", "cycles", "--lengths", "0"),
+    ("gen", "cycles", "--lengths", "3,x"),
+])
+def test_out_of_range_arguments_exit_2(tmp_path, capsys, argv):
+    inst = tmp_path / "tri.txt"
+    inst.write_text(TRIANGLE)
+    code, out, err = run_cli(capsys, *(a.format(inst=inst) for a in argv))
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_emit_td(tmp_path, capsys):
     inst = tmp_path / "tri.txt"
     inst.write_text(TRIANGLE)

@@ -11,8 +11,7 @@ from fvskit.separators import (
     ATTEMPTS,
     Separation,
     ThreeWaySeparation,
-    check_separation,
-    check_three_way,
+    _check_classes,
     decomposition_to_pace,
     forest_balanced_separator,
     three_way_separation,
@@ -178,20 +177,19 @@ def test_two_way_separation_properties():
             rng.shuffle(extra)
             f = frozenset(set(f) | set(extra[: rng.randrange(0, 3)]))
         sep = two_way_separation(g, f, rng)
-        check_separation(g, sep)  # raises on violation
+        _check_classes(g, sep.by_index())  # raises on violation
         assert sep.a | sep.b | sep.s == g.vertex_set()
         # forest parts of each side stay forests
         assert is_forest(induced(g, sorted(sep.a - f)))
         assert is_forest(induced(g, sorted(sep.b - f)))
-        assert sep.balance == min(len(sep.a & f), len(sep.b & f))
 
 
 def test_two_way_separation_crossing_check_fires():
     g = mg(2, [(0, 1)])
     bad = Separation(a=frozenset({0}), b=frozenset({1}), s=frozenset(),
-                     s_eps=frozenset(), balance=0)
+                     s_eps=frozenset())
     with pytest.raises(ValueError):
-        check_separation(g, bad)
+        _check_classes(g, bad.by_index())
 
 
 def test_three_way_separation_properties():
@@ -200,7 +198,7 @@ def test_three_way_separation_properties():
         g = random_multigraph(rng, n_max=9)
         _, f = brute_min_fvs(g)
         sep = three_way_separation(g, f, rng)
-        check_three_way(g, sep)
+        _check_classes(g, sep.by_index())
         classes = sep.by_index()
         all_verts = frozenset().union(*classes.values()) if classes else frozenset()
         assert all_verts == g.vertex_set()
@@ -220,7 +218,7 @@ def _three_way(**classes):
 def test_three_way_check_fires(bad):
     g = mg(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
-        check_three_way(g, bad)
+        _check_classes(g, bad.by_index())
 
 
 # one fixed graph and seed: the classes each separation returned, and the
@@ -242,12 +240,14 @@ def test_separations_keep_their_seeded_stream():
     g = mg(14, _GOLDEN_EDGES)
     rng = random.Random(52)
     got = []
+    f = {0, 1, 5}
     for budget in (None, 2):
-        a = two_way_separation(g, {0, 1, 5}, rng, budget=budget)
-        got.append(([sorted(c) for c in (a.a, a.b, a.s, a.s_eps)], a.balance))
-        b = three_way_separation(g, {0, 1, 5}, rng, budget=budget)
+        a = two_way_separation(g, f, rng, budget=budget)
+        got.append(([sorted(c) for c in (a.a, a.b, a.s, a.s_eps)],
+                    min(len(a.a & f), len(a.b & f))))
+        b = three_way_separation(g, f, rng, budget=budget)
         got.append(([sorted(c) for c in (b.s1, b.s2, b.s3, b.s12, b.s13, b.s23, b.s123,
-                                         b.s_eps)], b.balance))
+                                         b.s_eps)], min(len(c & f) for c in (b.s1, b.s2, b.s3))))
     assert got == _GOLDEN
     assert rng.getrandbits(32) == 3640473595
 
@@ -265,9 +265,9 @@ def test_separation_balance_on_planted_split():
     rng = random.Random(31)
     g, hubs = planted_fvs(forest_size=120, k=24, dbar_target=3.0, rng=rng)
     sep = two_way_separation(g, hubs, rng, budget=24)
-    check_separation(g, sep)
+    _check_classes(g, sep.by_index())
     assert not sep.s_eps
-    assert sep.balance >= 2
+    assert min(len(sep.a & hubs), len(sep.b & hubs)) >= 2
 
 
 # --------------------------------------------------------- decompositions

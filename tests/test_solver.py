@@ -66,6 +66,14 @@ def test_config_validation():
         SolverConfig(variant="fast")
 
 
+@pytest.mark.parametrize("epsilon", [-0.1, 1.0, 1.5, float("nan")])
+def test_config_rejects_epsilon_outside_the_unit_interval(epsilon):
+    # epsilon = 1 divides by zero in dbar; above 1, dbar is negative
+    with pytest.raises(ValueError):
+        SolverConfig(epsilon=epsilon)
+    assert SolverConfig(epsilon=0.0).dbar == 4.0
+
+
 def test_solve_forest_needs_nothing():
     g = mg(5, [(0, 1), (1, 2), (3, 4)])
     res = solve(g, 0, SolverConfig(seed=1))
@@ -285,7 +293,7 @@ def test_stats_shape():
 
 
 def test_mm_solve_imports_no_numpy():
-    # numpy is a test and benchmark dependency only; this solve runs the
+    # numpy is a benchmark dependency only; this solve runs the
     # three-way decider, which holds its counts in Python ints
     code = ("import sys, fvskit\n"
             f"g = fvskit.MultiGraph.from_edges(range(10), {PETERSEN!r})\n"
