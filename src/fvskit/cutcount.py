@@ -567,17 +567,11 @@ count_tables_two_way = count_tables_three_way = count_tables
 # the deciders
 
 
-def _scan_accept(
-    table: Table,
-    packer: _Packer,
-    n: int,
-    k: int,
-    d_limit: int,
-) -> Optional[Tuple[int, int, int, int]]:
+def _scan_accept(table: Table, packer: _Packer, n: int) -> Optional[Tuple[int, int, int, int]]:
+    # every key is within the caps _decide passes (c <= k, d <= floor(dbar * k)):
+    # the builder drops the rest
     for p in sorted(table):
         i, d, c, e = packer.unpack(p)
-        if c > k or d > d_limit:
-            continue
         exp = n - c - e + 1
         if exp <= 0:
             continue
@@ -627,7 +621,7 @@ def _decide(
     while used < total_draws and key is None:
         table, packer = tables(layout, draw_weights(g, rng), forced=forced_set, **caps)
         used += 1
-        key = _scan_accept(table, packer, n, k, d_limit)
+        key = _scan_accept(table, packer, n)
     stats["decider_draws"] += used
     stats["decider_accepts"] += key is not None
     return DeciderOutcome(key is not None, key)

@@ -1,6 +1,7 @@
 """Instance generators for tests, benchmarks and the command line."""
 from __future__ import annotations
 
+import math
 import random
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
@@ -75,6 +76,8 @@ def planted_fvs(
     """
     if k < 1 or forest_size < 2:
         raise ValueError("need at least one hub and two forest vertices")
+    if not math.isfinite(dbar_target * k):  # inf, nan, or too large to round
+        raise ValueError(f"dbar_target * k must be finite, got {dbar_target} * {k}")
     total_edges = round(dbar_target * k)
     if total_edges < 2 * k:
         raise ValueError("dbar_target must be at least 2 to close hub cycles")

@@ -3,7 +3,9 @@
 Vertex ids are arbitrary non-negative ints and stay stable across deletions;
 ids of deleted vertices are never reused implicitly.  A loop at v contributes
 2 to deg(v) but only its multiplicity to the edge count m.  Graphs have value
-semantics: ``copy`` is cheap and mutation never aliases.
+semantics: ``copy`` is cheap and mutation never aliases.  Every derived graph
+(``minus``, ``induced``) is a copy with vertices removed, and one depth-first
+walk, ``rooted_forest``, both roots forests and decides ``is_forest``.
 """
 from __future__ import annotations
 
@@ -144,25 +146,22 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, m={self.m})"
 
 
+def minus(g: MultiGraph, drop: Iterable[int]) -> MultiGraph:
+    """A copy of g with the vertices in ``drop`` removed; ids not in g are ignored."""
+    h = g.copy()
+    for v in drop:
+        if h.has_vertex(v):
+            h.remove_vertex(v)
+    return h
+
+
 def induced(g: MultiGraph, keep: Iterable[int]) -> MultiGraph:
-    """Subgraph induced by ``keep``.  Raises KeyError on unknown ids."""
+    """Subgraph induced by ``keep``: g minus the rest.  Raises KeyError on unknown ids."""
     keep_set = set(keep)
     for v in keep_set:
         if not g.has_vertex(v):
             raise KeyError(f"vertex {v} not in graph")
-    h = MultiGraph()
-    for v in keep_set:
-        h.add_vertex(v)
-    for u, v, mult in g.edges():
-        if u in keep_set and v in keep_set:
-            h.add_edge(u, v, mult)
-    return h
-
-
-def minus(g: MultiGraph, drop: Iterable[int]) -> MultiGraph:
-    """g with the vertices in ``drop`` removed."""
-    drop_set = set(drop)
-    return induced(g, (v for v in g.vertices() if v not in drop_set))
+    return minus(g, g.vertex_set() - keep_set)
 
 
 def connected_components(g: MultiGraph) -> List[List[int]]:
@@ -215,20 +214,10 @@ def rooted_forest(g: MultiGraph) -> Tuple[List[int], Dict[int, Optional[int]]]:
 
 
 def is_forest(g: MultiGraph) -> bool:
-    """True iff g has no cycle; loops and parallel edges are cycles."""
-    parent = {v: v for v in g.vertices()}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, mult in g.edges():
-        if u == v or mult >= 2:
-            return False
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
+    """True iff g has no cycle (loops and parallel edges are cycles): whether
+    ``rooted_forest`` can root it."""
+    try:
+        rooted_forest(g)
+    except ValueError:
+        return False
     return True

@@ -81,6 +81,8 @@ class SolverConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.epsilon is not None and not 0 <= self.epsilon < 1:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
+        if not 0 < self.trials_factor < math.inf:  # False for nan too
+            raise ValueError(f"trials_factor must be finite and > 0, got {self.trials_factor}")
 
     @property
     def eps(self) -> float:
@@ -190,13 +192,11 @@ def fvs_trial(
     the descent only reads its graph, never mutates it.
     """
     stats = Counter() if stats is None else stats
-    eps = config.eps
-    dbar = config.dbar
     red = kernel if kernel is not None else reduce_exhaustive(g, k)
     if red.infeasible:
         return None
     h, k2, forced = red.graph, red.budget, red.forced
-    if h.n == 0 or is_forest(h):
+    if h.n == 0:  # a nonempty kernel has minimum degree >= 3, so it has a cycle
         return forced
     if k2 <= 0:
         return None
@@ -208,12 +208,12 @@ def fvs_trial(
         return iterative_compression(h, k2, config, rng, stats)
 
     if config.faithful_coin:
-        heads = rng.random() < 3.0 ** (-(1.0 - 2.0 ** (-dbar)) * k2)
+        heads = rng.random() < 3.0 ** (-(1.0 - 2.0 ** (-config.dbar)) * k2)
     else:
         heads = k2 <= config.ic_threshold
     take_ic = heads and ic_allowed
 
-    uniform_regime = h.n <= (3.0 - eps) * k2
+    uniform_regime = h.n <= (3.0 - config.eps) * k2
 
     def sample() -> Optional[int]:
         # None only for degree-weighted sampling on a 3-regular graph

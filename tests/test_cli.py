@@ -123,6 +123,11 @@ def test_usage_error_exit_code(capsys):
     ("gen", "planted", "--k", "0"),
     ("gen", "cycles", "--lengths", "0"),
     ("gen", "cycles", "--lengths", "3,x"),
+    ("solve", "{inst}", "-k", "1", "--trials-factor", "nan"),
+    ("solve", "{inst}", "-k", "1", "--trials-factor", "inf"),
+    ("solve", "{inst}", "-k", "1", "--trials-factor", "0"),
+    ("solve", "{inst}", "-k", "1", "--trials-factor", "-1"),
+    ("gen", "planted", "--dbar", "inf"),
 ])
 def test_out_of_range_arguments_exit_2(tmp_path, capsys, argv):
     inst = tmp_path / "tri.txt"

@@ -64,3 +64,6 @@ def test_planted_fvs_needs_room():
         planted_fvs(forest_size=4, k=10, dbar_target=3.0, rng=rng)
     with pytest.raises(ValueError):
         planted_fvs(forest_size=40, k=4, dbar_target=1.0, rng=rng)
+    for dbar in (float("inf"), 1e308):  # 4e308 overflows to inf
+        with pytest.raises(ValueError):
+            planted_fvs(forest_size=40, k=4, dbar_target=dbar, rng=rng)

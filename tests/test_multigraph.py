@@ -77,6 +77,7 @@ def test_induced_and_minus():
     assert h.n == 3 and h.m == 2
     h2 = minus(g, {0})
     assert h2.n == 4 and h2.m == 3
+    assert minus(g, {99}) == g  # unknown ids are ignored
     with pytest.raises(KeyError):
         induced(g, [0, 99])
 
@@ -136,9 +137,27 @@ def test_degree_sum_is_twice_m(edges):
     assert sum(g.degree(v) for v in g.vertices()) == 2 * g.m
 
 
-@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=20),
-       st.sets(st.integers(0, 6)))
-def test_minus_then_induced_agree(edges, drop):
+# loops and parallel edges included; drop may name ids outside the graph
+multigraph_edges = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=20)
+
+
+@given(multigraph_edges, st.sets(st.integers(0, 8)))
+def test_minus_and_induced_match_a_rebuild_from_the_kept_edges(edges, drop):
     g = MultiGraph.from_edges(range(7), edges)
+    before = g.copy()
     keep = [v for v in g.vertices() if v not in drop]
-    assert minus(g, drop) == induced(g, keep)
+    expect = MultiGraph.from_edges(
+        keep, [(u, v) for u, v in g.edge_lines() if u not in drop and v not in drop])
+    for h in (minus(g, drop), induced(g, keep)):
+        assert h == expect and h.m == expect.m
+        h.add_edge(0, 0)
+        h.add_vertex(7)
+        if keep:
+            h.remove_vertex(keep[0])
+        assert g == before and g.m == before.m
+
+
+@given(multigraph_edges)
+def test_is_forest_iff_edges_count_vertices_minus_components(edges):
+    g = MultiGraph.from_edges(range(7), edges)
+    assert is_forest(g) == (g.m == g.n - len(connected_components(g)))

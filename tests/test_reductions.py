@@ -69,6 +69,8 @@ def test_reduced_graph_invariants():
             assert h.loops_at(v) == 0
         for u, v, mult in h.edges():
             assert mult <= 2
+        # so a nonempty kernel has a cycle, which fvs_trial relies on
+        assert h.n == 0 or not is_forest(h)
 
 
 def test_reduction_preserves_optimum():
