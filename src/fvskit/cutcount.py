@@ -7,9 +7,9 @@ the partitions extending a fixed F, the bucket total contributes 2^(#components
 of g - F); a component count of exactly n - s - m' characterizes forests, so
 a bucket is certified non-empty of forest solutions exactly when its total
 is nonzero modulo 2^(n - s - m' + 1).  Every residue the accept test reads
-lives in the ring modulo 2^(n + 1), and nothing inside the builder reads one,
-so its tables hold plain non-negative counts.  A count is reduced into the
-ring only where it leaves them: at the return of ``count_tables`` and in
+lives in the ring modulo 2^(n + 1), and no table builder reads one, so
+tables hold plain non-negative counts.  A count is reduced into the ring only
+where it is read: by the accept scan ``_scan_accept``, and by
 ``_table_to_keys``.
 
 Isolation weights omega are drawn per attempt, uniform on 1..2n per vertex.
@@ -125,7 +125,7 @@ class _Packer:
 
     def ok(self, p: int) -> bool:
         """Every field of ``p`` is within its cap; exact for sums of up to
-        four in-cap keys.  The hot loops inline this test."""
+        four in-cap keys.  ``_conv``, the one hot loop, inlines this test."""
         return not ((p + self.bias) & self.guard)
 
 
@@ -496,15 +496,15 @@ def count_tables(
     For each canonical labelling of the global class, weighted for its
     mirror, each side yields one table per labelling of its pairwise classes
     (at two colors there are none, so each side has one table, under ``()``).
-    Two sides then convolve their tables; three sides join theirs in the
-    triangle sum of ``_combine3``.  Side and component tables hold plain
-    counts, memoized per draw; each side's table is built once per canonical
-    form of the labels in ``layout.rels[i]``.  The returned counts are reduced
-    modulo 2^(n+1), once, at the end.
+    The labelling's trace term and weight are convolved into side 1's tables;
+    then two sides convolve their tables, and three sides join theirs in the
+    triangle sum of ``_combine3``, so every product is a capped ``_conv``.
+    Side and component tables are memoized per draw; each side's table is
+    built once per canonical form of the labels in ``layout.rels[i]``.  The
+    returned counts are plain, unreduced; their readers reduce them.
     """
     lay = layout
     n = lay.n
-    mask = (1 << (n + 1)) - 1
     packer = _Packer(i_cap=2 * n * min(c_cap, n) if n else 0,
                      d_cap=d_cap, c_cap=c_cap, e_cap=e_cap)
     labels: Dict[int, int] = {}
@@ -520,7 +520,6 @@ def count_tables(
 
     out: Table = {}
     get = out.get
-    bias, guard = packer.bias, packer.guard
     for sigma, weight in _canonical_assignments(lay.global_order, forced):
         for v, lab in zip(lay.global_order, sigma):
             labels[v] = lab
@@ -544,19 +543,14 @@ def count_tables(
                 break
             per_side.append(tables)
         else:
-            if len(per_side) == 2:
-                outer, inner = per_side[0][()].items(), per_side[1][()].items()
-            else:
-                # the triangle sum combined all three sides: convolve with the unit
-                outer, inner = _combine3(per_side, packer).items(), ((0, 1),)
-            for base, ca in outer:
-                base += term
-                ca *= weight
-                for pb, cb in inner:
-                    key = base + pb
-                    if not ((key + bias) & guard):
-                        out[key] = get(key, 0) + ca * cb
-    return {key: cnt & mask for key, cnt in out.items() if cnt & mask}, packer
+            # side 1 takes the term and weight in new tables; memoized ones stay as built
+            unit = {term: weight}
+            per_side[0] = {at: _conv(unit, t, packer) for at, t in per_side[0].items()}
+            joined = (_conv(per_side[0][()], per_side[1][()], packer) if len(per_side) == 2
+                      else _combine3(per_side, packer))
+            for key, cnt in joined.items():
+                out[key] = get(key, 0) + cnt
+    return out, packer
 
 
 # perfbench's tracer wraps each name, which its decider resolves at call time

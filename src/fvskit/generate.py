@@ -39,22 +39,25 @@ def random_gnm(
     allow_loops: bool = True,
     allow_multi: bool = True,
 ) -> MultiGraph:
-    """n vertices, m edges drawn uniformly with replacement over pairs."""
-    if n < 1 and m > 0:
-        raise ValueError("edges need vertices")
+    """n vertices, m edges drawn uniformly with replacement over pairs.  The
+    flags allow n(n-1)/2 edges, plus n loops when allowed; a multigraph with an
+    allowed pair, any m.  ValueError, before any draw, on an m they forbid."""
+    pairs = max(n, 0) * (max(n, 0) - 1 + 2 * allow_loops) // 2
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    if m > pairs and not (allow_multi and pairs):
+        raise ValueError(f"{n} vertices allow at most {pairs} edges here, got m={m}")
     g = MultiGraph.from_edges(range(n), [])
     for _ in range(m):
         for _attempt in range(10 * (m + n) + 10):
             u = rng.randrange(n)
             v = rng.randrange(n)
-            if u == v and not allow_loops:
-                continue
-            if not allow_multi and g.multiplicity(u, v) > 0:
-                continue
-            g.add_edge(u, v)
-            break
-        else:
-            break  # graph saturated under the constraints
+            if (u != v or allow_loops) and (allow_multi or not g.multiplicity(u, v)):
+                break
+        else:  # near saturation: draw among the pairs still open
+            u, v = rng.choice([(u, v) for u in range(n) for v in range(u + (not allow_loops), n)
+                               if allow_multi or not g.multiplicity(u, v)])
+        g.add_edge(u, v)
     return g
 
 

@@ -20,11 +20,10 @@ master seed with the trial index, and compression runs are memoized under a
 seed derived from the reduced graph itself, so results are reproducible and
 independent of the number of worker processes.  With jobs > 1, trial 0 runs
 in the calling process first, and the workers running trials 1 to budget - 1
-start from a copy of its compression memo; without ``faithful_coin`` that
-memo holds the top-level compression every trial asks for, so it runs once.
-Compressions further down a descent are memoized per worker chunk, so a
-chunk can repeat one that another chunk ran, and so can the top-level one
-under ``faithful_coin``, where trial 0 may not compress at the top.
+start from a copy of its compression memo.  A chunk of trials can still
+repeat a compression another chunk ran, with the same answer and the same
+work; ``solve`` merges the chunks' memos and counts each compression's work
+once, so the stats are those of ``jobs=1``.
 """
 from __future__ import annotations
 
@@ -173,6 +172,7 @@ def iterative_compression(
 
 
 IcRunner = Callable[[MultiGraph, int], Optional[FrozenSet[int]]]
+IcMemo = Dict[Tuple, Tuple[Optional[FrozenSet[int]], Counter]]
 
 
 def fvs_trial(
@@ -257,8 +257,7 @@ def trial_budget(k: int, config: SolverConfig) -> int:
 def _make_ic_runner(
     config: SolverConfig,
     seed_base: int,
-    memo: Dict[Tuple, Optional[FrozenSet[int]]],
-    stats: Counter,
+    memo: IcMemo,
 ) -> IcRunner:
     """Compression entry point with memoization under graph-derived seeds.
 
@@ -266,33 +265,32 @@ def _make_ic_runner(
     multiplicity, budget - and the rng for a compression run is derived from
     its vertex set and budget, not from the calling trial, so every trial
     (and every worker process) that reaches the same reduced instance gets
-    the same answer.
+    the same answer and does the same work, whose counters its entry keeps.
     """
 
     def runner(h: MultiGraph, k2: int) -> Optional[FrozenSet[int]]:
         verts = h.vertex_set()
         key = (verts, tuple(h.edges()), k2)
-        if key in memo:
-            stats["ic_memo_hits"] += 1
-            return memo[key]
-        token = hash((tuple(sorted(verts)), k2)) & _M64
-        rng = random.Random(_mix(seed_base, token))
-        memo[key] = res = iterative_compression(h, k2, config, rng, stats)
-        return res
+        if key not in memo:
+            token = hash((tuple(sorted(verts)), k2)) & _M64
+            rng, work = random.Random(_mix(seed_base, token)), Counter()
+            memo[key] = (iterative_compression(h, k2, config, rng, work), work)
+        return memo[key][0]
 
     return runner
 
 
-def _run_trial_range(payload) -> Tuple[Optional[int], Optional[FrozenSet[int]], Dict[str, int]]:
+def _run_trial_range(payload) -> Tuple[Optional[int], Optional[FrozenSet[int]], Dict[str, int],
+                                       IcMemo]:
     g, k, config, seed_base, kernel, memo, start, stop = payload
     stats: Counter = Counter()
-    runner = _make_ic_runner(config, seed_base, memo, stats)
+    runner = _make_ic_runner(config, seed_base, memo)
     for idx in range(start, stop):
         rng = random.Random(_mix(seed_base, idx))
         res = fvs_trial(g, k, config, rng, ic_runner=runner, stats=stats, kernel=kernel)
         if res is not None:
-            return idx, res, dict(stats)
-    return None, None, dict(stats)
+            return idx, res, dict(stats), memo
+    return None, None, dict(stats), memo
 
 
 def solve(g: MultiGraph, k: int, config: Optional[SolverConfig] = None) -> SolveResult:
@@ -320,8 +318,8 @@ def solve(g: MultiGraph, k: int, config: Optional[SolverConfig] = None) -> Solve
 
     parallel = config.jobs > 1 and budget >= 2 * config.jobs
     # in parallel, trial 0 runs here and fills the memo the workers start from
-    memo: Dict = {}
-    idx, found, own_stats = _run_trial_range(
+    memo: IcMemo = {}
+    idx, found, own_stats, _ = _run_trial_range(
         (g, k, config, seed_base, kernel, memo, 0, 1 if parallel else budget))
     stats.update(own_stats)
     if found is None and parallel:
@@ -331,12 +329,18 @@ def solve(g: MultiGraph, k: int, config: Optional[SolverConfig] = None) -> Solve
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = [pool.submit(_run_trial_range, p) for p in payloads]
             for fut in futures:
-                idx, found, wstats = fut.result()
+                idx, found, wstats, wmemo = fut.result()
                 stats.update(wstats)
+                memo.update(wmemo)
                 if found is not None:
                     for other in futures:
                         other.cancel()
                     break
+    # a compression's work counts once, whichever chunks ran it
+    for _, work in memo.values():
+        stats.update(work)
+    if stats["ic_runs"] > len(memo):
+        stats["ic_memo_hits"] = stats["ic_runs"] - len(memo)
 
     if found is not None:
         if len(found) > k or not is_forest(minus(g, found)):

@@ -128,6 +128,9 @@ def test_usage_error_exit_code(capsys):
     ("solve", "{inst}", "-k", "1", "--trials-factor", "0"),
     ("solve", "{inst}", "-k", "1", "--trials-factor", "-1"),
     ("gen", "planted", "--dbar", "inf"),
+    ("gen", "gnm", "--simple", "--n", "3", "--m", "10"),
+    ("gen", "gnm", "--n", "3", "--m", "-2"),
+    ("gen", "gnm", "--simple", "--n", "1", "--m", "1"),
 ])
 def test_out_of_range_arguments_exit_2(tmp_path, capsys, argv):
     inst = tmp_path / "tri.txt"

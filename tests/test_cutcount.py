@@ -408,6 +408,28 @@ def test_combine3_matches_a_triple_loop_capped_on_the_final_key():
         assert cutcount._combine3(per_side, packer) == triangle_loop(per_side, dims, packer)
 
 
+def test_readers_reduce_counts_modulo_2_to_the_n_plus_1():
+    # count_tables hands back plain counts; the accept scan and the key table
+    # read them in the ring modulo 2^(n+1)
+    n = 4
+    ring = 1 << (n + 1)
+    packer = cutcount._Packer(i_cap=2 * n * n, d_cap=12, c_cap=n, e_cap=n)
+    key = packer.pack(1, 3, 1, 0)  # accepts on a nonzero count modulo 2^(n - 1 - 0 + 1)
+    accepted = (n * n * 1 + 3, 1, 0, 3)
+    assert cutcount._scan_accept({key: ring}, packer, n) is None
+    assert cutcount._table_to_keys({key: ring}, packer, n) == {}
+    assert cutcount._scan_accept({key: ring + 1}, packer, n) == accepted
+    assert cutcount._table_to_keys({key: ring + 1}, packer, n) == {(n * n + 3, 1, 0): 1}
+    # zero at the key's own modulus, nonzero in the ring
+    assert cutcount._scan_accept({key: ring // 2}, packer, n) is None
+    assert cutcount._table_to_keys({key: ring // 2}, packer, n) == {(n * n + 3, 1, 0): ring // 2}
+    # c + e > n leaves no residue to read, so an odd count there is skipped
+    over = packer.pack(0, 0, 2, 3)
+    assert over < key
+    assert cutcount._scan_accept({over: 1}, packer, n) is None
+    assert cutcount._scan_accept({over: 1, key: ring + 1}, packer, n) == accepted
+
+
 # --------------------------------------------------- witness extraction
 
 

@@ -39,6 +39,39 @@ def test_random_gnm_simple_mode():
         assert u != v and mult == 1
 
 
+@pytest.mark.parametrize("n, m, loops, multi", [
+    (3, 10, False, False), (3, 7, True, False), (1, 1, False, False), (1, 3, False, True),
+    (0, 1, True, True), (3, -2, True, True),
+])
+def test_random_gnm_rejects_edge_counts_the_flags_forbid(n, m, loops, multi):
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        random_gnm(n, m, rng, allow_loops=loops, allow_multi=multi)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("n, m, loops, multi", [
+    (3, 3, False, False), (3, 6, True, False), (1, 1, True, False), (2, 5, False, True),
+    (7, 21, False, False),
+])
+def test_random_gnm_draws_every_edge_up_to_the_limit(n, m, loops, multi):
+    for seed in range(5):
+        g = random_gnm(n, m, random.Random(seed), allow_loops=loops, allow_multi=multi)
+        assert g.n == n and g.m == m
+        for u, v, mult in g.edges():
+            assert (loops or u != v) and (multi or mult == 1)
+
+
+def test_random_gnm_draws_among_the_open_pairs_when_draws_keep_missing():
+    class Stuck(random.Random):
+        def randrange(self, *args):  # every draw is the forbidden loop 0-0
+            return 0
+
+    g = random_gnm(3, 3, Stuck(0), allow_loops=False, allow_multi=False)
+    assert sorted((u, v, mult) for u, v, mult in g.edges()) == [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
+
+
 def test_planted_fvs_structure():
     rng = random.Random(3)
     g, hubs = planted_fvs(forest_size=40, k=8, dbar_target=3.0, rng=rng)

@@ -1,18 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
 import random
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import fvskit.solver
-from fvskit.generate import disjoint_cycles
+from fvskit.generate import disjoint_cycles, random_gnm
 from fvskit.multigraph import MultiGraph, is_forest, minus
 from fvskit.oracle import brute_min_fvs
 from fvskit.reductions import reduce_exhaustive
@@ -157,6 +157,21 @@ def test_petersen_below_minimum_is_infeasible():
     assert par.trials == seq.trials
 
 
+@pytest.mark.parametrize("g, k, config", [
+    # deeper compressions that two worker chunks both run
+    (random_gnm(14, 24, random.Random(1), allow_loops=False, allow_multi=False), 3,
+     SolverConfig(seed=8)),
+    # faithful_coin: trial 0 does not compress at the top, so every chunk does
+    (random_gnm(13, 22, random.Random(104)), 2, SolverConfig(seed=4, faithful_coin=True)),
+], ids=["deep-compressions", "faithful-coin"])
+def test_jobs_count_each_compression_once(g, k, config):
+    seq = solve(g, k, config)
+    par = solve(g, k, dataclasses.replace(config, jobs=2))
+    assert (par.status, par.fvs, par.trials, par.stats) == (seq.status, seq.fvs, seq.trials,
+                                                             seq.stats)
+    assert seq.stats["compressions"] >= 1
+
+
 def test_faithful_coin_still_solves():
     g = mg(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5), (5, 6), (6, 0)])
     kmin, _ = brute_min_fvs(g)
@@ -274,15 +289,15 @@ def test_compression_memo_tells_apart_graphs_on_one_vertex_set():
     assert plain.graph.vertex_set() == doubled.graph.vertex_set()
     assert plain.graph != doubled.graph
     cfg = SolverConfig(seed=0)
-    stats = Counter()
-    runner = _make_ic_runner(cfg, 0, {}, stats)
+    memo = {}
+    runner = _make_ic_runner(cfg, 0, memo)
     assert runner(plain.graph, 3) is not None
     got = runner(doubled.graph, 3)
-    assert stats["ic_memo_hits"] == 0
+    assert len(memo) == 2
     assert got is not None and is_forest(minus(doubled.graph, got))
-    assert got == _make_ic_runner(cfg, 0, {}, Counter())(doubled.graph, 3)
+    assert got == _make_ic_runner(cfg, 0, {})(doubled.graph, 3)
     # the same graph again is answered from the memo
-    assert runner(doubled.graph, 3) == got and stats["ic_memo_hits"] == 1
+    assert runner(doubled.graph, 3) == got and len(memo) == 2
 
 
 def test_stats_shape():
